@@ -19,10 +19,12 @@
 #                    produce identical retry/quarantine traces, drains must
 #                    win races against stalls and backoffs, and nothing may
 #                    leak a goroutine
-#   make ci-cluster - the cluster-mode gate under -race with GOMAXPROCS=2:
+#   make ci-cluster - the cluster gate under -race with GOMAXPROCS=2:
 #                    ring determinism and bounded remap, N=4 cluster parity
 #                    with the single-scheduler path (every kind, stateful
-#                    sessions included), the zipfian affinity win over
+#                    sessions included), a one-instance cluster identical
+#                    to New(cfg) under chaos (IDs, traces, fault counts,
+#                    unlabeled metrics), the zipfian affinity win over
 #                    shuffled round-robin, router partial-failure isolation
 #                    with per-instance fault seeds, and the stats/metrics
 #                    rollup invariants
@@ -42,15 +44,18 @@
 #                    ticks/s (STRICT=1 to fail on one; check the recorded
 #                    num_cpu before blaming the code)
 #   make load      - run the scand load generator (mixed attack scenarios
-#                    through the service scheduler) and append a jobs/s +
-#                    p50/p99 latency entry to BENCH_scan.json, then repeat
+#                    through a one-instance cluster, the daemon's default)
+#                    and append a jobs/s + p50/p99 latency entry to
+#                    BENCH_scan.json (the LoadMixed row), then repeat
 #                    through a 4-instance hash-routed cluster on the zipfian
 #                    victim skew (the LoadCluster row: session_hit_rate is
 #                    the affinity metric bench_compare watches)
-#   make load-smoke - a short scand -load pass (mixed workload incl. the
-#                    stateful behaviorspy/appfingerprint kinds, nothing
-#                    recorded) — the CI smoke that the whole service stack
-#                    serves every kind end to end
+#   make load-smoke - two short scand -load passes, nothing recorded: the
+#                    mixed workload (incl. the stateful behaviorspy/
+#                    appfingerprint kinds) on one instance, then the same
+#                    arguments through a 2-instance cluster on the zipfian
+#                    skew — the CI smoke that the service stack, router
+#                    included, serves every kind end to end
 
 GO ?= go
 
@@ -121,3 +126,4 @@ load:
 
 load-smoke:
 	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out ''
+	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out '' -cluster 2 -load-dist zipfian

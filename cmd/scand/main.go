@@ -1,5 +1,5 @@
 // Command scand is the attack-as-a-service daemon: it serves the job
-// scheduler of internal/service over HTTP, multiplexing concurrent attack
+// scheduler cluster of internal/service over HTTP, multiplexing concurrent attack
 // jobs (kernel base, KPTI, modules, Windows, §IV-F user scan, cloud
 // scenarios, the stateful §IV-E behaviorspy / appfingerprint kinds whose
 // per-victim sessions carry a timeline across jobs, and the defenseeval
@@ -20,12 +20,24 @@
 // deterministic chaos run: the whole fault schedule is a pure function of
 // the seed.
 //
-// Daemon mode:
+// Daemon mode serves a service.Cluster of -cluster N independent
+// scheduler instances — each with its own queue, executors, scan pool,
+// session/calibration caches, fault injector and metrics plane — behind a
+// consistent-hash router. The default (-cluster 0 or 1) is one instance,
+// which behaves exactly like a single scheduler. With N > 1, jobs are
+// placed by victim key (-hash-replicas virtual nodes per instance), so
+// every job against one victim lands on the instance whose caches already
+// hold that victim's session and calibration; -route shuffle swaps in the
+// victim-blind shuffled round-robin baseline (the affinity ablation). The
+// HTTP API is the same at every N: /stats returns the merged aggregate
+// plus one row per instance, and /metrics carries an instance label on
+// every series when N > 1.
 //
 //	scand [-addr :8440] [-executors N] [-scan-workers N] [-queue N] [-fresh]
 //	      [-store-max-jobs N] [-store-ttl D] [-pprof localhost:6060]
 //	      [-max-attempts N] [-job-deadline D] [-shed-watermark N]
 //	      [-fault-seed N -fault-rate P] [-trace-sample N] [-trace-buffer N]
+//	      [-cluster N] [-hash-replicas N] [-route hash|shuffle]
 //
 // The observability plane is always on for metrics and opt-in for traces:
 // GET /metrics serves Prometheus text (per-kind/per-defense/per-site
@@ -37,9 +49,11 @@
 // GET /jobs/{id}/trace. With -trace-sample 0 the recorder is nil and the
 // instrumented path costs one nil check per stage.
 //
-// -pprof serves net/http/pprof on a side listener (works in both daemon and
-// load mode), so CPU/heap profiles of a live daemon never share a port with
-// the job API.
+// -pprof serves net/http/pprof from its own mux on a side listener (works
+// in both daemon and load mode), so CPU/heap profiles of a live daemon
+// never share a port with the job API. The job API rejects unknown spec
+// fields and bodies over a fixed cap with 400, and its server bounds
+// header, request and idle time.
 //
 //	POST /jobs       {"kind":"kernelbase","cpu":"12400F","seed":7}  → {"id":1}
 //	POST /jobs       {"kind":"behaviorspy","seed":7,"duration_sec":20}
@@ -53,24 +67,13 @@
 //	GET  /metrics    Prometheus text exposition
 //	POST /drain      graceful drain (finish queued work, refuse new jobs)
 //
-// Cluster mode (-cluster N) shards the daemon into N independent
-// scheduler instances — each with its own queue, executors, scan pool,
-// session/calibration caches, fault injector and metrics plane — behind a
-// consistent-hash router: jobs are placed by victim key (-hash-replicas
-// virtual nodes per instance), so every job against one victim lands on
-// the instance whose caches already hold that victim's session and
-// calibration. The HTTP API is unchanged; /stats returns the cluster
-// rollup plus per-instance rows, /metrics serves instance-labeled series.
-// -route shuffle swaps in the victim-blind shuffled round-robin baseline
-// (the affinity ablation).
-//
 // SIGINT/SIGTERM also drain before exiting. Load-generator mode hammers
-// the scheduler in-process with a scenario workload — -mix mixed (every
+// the same cluster in-process with a scenario workload — -mix mixed (every
 // kind: both vendors, SGX, cloud, both temporal kinds, defense evals) or
 // -mix defense (the vendor × FLARE/FGKASLR/rerand matrix), drawing
 // victims uniformly or from a seeded zipfian skew (-load-dist) — and
-// appends a throughput entry to BENCH_scan.json (LoadMixed for a single
-// scheduler, LoadCluster for -cluster runs):
+// appends a throughput entry to BENCH_scan.json (LoadMixed for one
+// instance, LoadCluster for -cluster N > 1):
 //
 //	scand -load [-mix mixed|defense] [-load-dist uniform|zipfian] [-jobs 256]
 //	      [-concurrency 64] [-victims 16] [-cluster N] [-route hash|shuffle]
@@ -82,13 +85,24 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
 	"syscall"
+	"time"
 
 	"repro/internal/service"
+)
+
+// Job-API server timeouts. There is deliberately no write timeout, and the
+// read timeout exceeds service.MaxWaitPoll: the read deadline stays armed
+// while a handler runs, and when it expires net/http cancels the request
+// context, which would cut a GET /jobs/{id}?wait= long poll short.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * service.MaxWaitPoll
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -116,7 +130,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		faultRate   = fs.Float64("fault-rate", 0, "uniform per-site fault probability in [0,1] (0 = injection off)")
 		traceSample = fs.Int("trace-sample", 0, "record every Nth job's lifecycle trace (1 = every job, 0 = tracing off)")
 		traceBuffer = fs.Int("trace-buffer", 0, "retained traces in the bounded ring (0 = 256)")
-		clusterN    = fs.Int("cluster", 0, "shard into N scheduler instances behind the consistent-hash router (0/1 = single scheduler)")
+		clusterN    = fs.Int("cluster", 0, "shard into N scheduler instances behind the consistent-hash router (0/1 = one instance)")
 		hashReps    = fs.Int("hash-replicas", 0, "cluster: virtual nodes per instance on the hash ring (0 = default)")
 		route       = fs.String("route", "hash", "cluster: routing policy — hash (victim-key affinity) or shuffle (victim-blind baseline)")
 		load        = fs.Bool("load", false, "run the load generator instead of the daemon")
@@ -153,39 +167,34 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	// One submission/stats surface for both topologies: a -cluster run
-	// builds N schedulers behind the router, otherwise a single scheduler.
-	var (
-		runner  service.Runner
-		handler http.Handler
-		drain   func()
-		stats   func() service.Stats
-	)
-	if *clusterN > 1 {
-		c := service.NewCluster(service.ClusterConfig{
-			Instances:    *clusterN,
-			HashReplicas: *hashReps,
-			Route:        *route,
-			RouteSeed:    *seed,
-			Config:       cfg,
-		})
-		runner, handler, drain = c, service.NewClusterHandler(c), c.Drain
-		stats = func() service.Stats { return c.Stats().Stats }
-	} else {
-		s := service.New(cfg)
-		runner, handler, drain, stats = s, service.NewHandler(s), s.Drain, s.Stats
+	c := service.NewCluster(service.ClusterConfig{
+		Instances:    *clusterN,
+		HashReplicas: *hashReps,
+		Route:        *route,
+		RouteSeed:    *seed,
+		Config:       cfg,
+	})
+	topo := "one instance"
+	if n := c.Instances(); n > 1 {
+		topo = fmt.Sprintf("cluster n=%d route=%s", n, *route)
 	}
 	if *faultRate > 0 {
 		fmt.Fprintf(stdout, "scand: CHAOS — injecting faults at rate %g per site, seed %d (deterministic)\n", *faultRate, *faultSeed)
 	}
 
 	if *pprofAddr != "" {
-		// The blank net/http/pprof import registers its handlers on the
-		// default mux; serve that mux on a side listener so profiles never
-		// share a port with the job API (daemon mode) and are reachable
-		// while the load generator hammers the scheduler (load mode).
+		// A side listener with its own mux: profiles never share a port
+		// with the job API (daemon mode) and stay reachable while the load
+		// generator hammers the cluster (load mode).
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		psrv := &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := psrv.ListenAndServe(); err != nil {
 				fmt.Fprintf(stderr, "scand: pprof listener: %v\n", err)
 			}
 		}()
@@ -207,73 +216,46 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "scand: unknown -load-dist %q (want uniform or zipfian)\n", *loadDist)
 			return 2
 		}
-		lc := loadCmd{
-			jobs: *jobs, concurrency: *concurrency, victims: *victims,
-			seed: *seed, mixName: *mix, mix: specs, dist: *loadDist,
-			cluster: *clusterN, route: *route, benchOut: *benchOut,
+		lc := service.LoadConfig{
+			Jobs: *jobs, Concurrency: *concurrency, Victims: *victims,
+			Seed: *seed, Mix: specs, Dist: *loadDist,
 		}
-		return runLoad(runner, drain, stats, lc, stdout, stderr)
+		return runLoad(c, lc, *mix, topo, *benchOut, stdout, stderr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           service.NewHandler(c),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(stdout, "scand: draining (finishing queued jobs, refusing new ones)")
-		drain()
+		c.Drain()
 		srv.Close()
 	}()
-	if *clusterN > 1 {
-		eff := runner.(*service.Cluster).Instance(0).Config()
-		fmt.Fprintf(stdout, "scand: serving attack jobs on %s (cluster=%d route=%s executors=%d/instance scan-workers=%d queue=%d/instance pooled=%v)\n",
-			*addr, *clusterN, *route, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
-	} else {
-		eff := runner.(*service.Scheduler).Config()
-		fmt.Fprintf(stdout, "scand: serving attack jobs on %s (executors=%d scan-workers=%d queue=%d pooled=%v)\n",
-			*addr, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
-	}
+	eff := c.Instance(0).Config()
+	fmt.Fprintf(stdout, "scand: serving attack jobs on %s (%s, executors=%d scan-workers=%d queue=%d per instance, pooled=%v)\n",
+		*addr, topo, eff.Executors, eff.ScanWorkers, eff.QueueDepth, !eff.FreshWorkers)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintf(stderr, "scand: %v\n", err)
 		return 1
 	}
-	printStats(stdout, stats())
+	printStats(stdout, c.Stats().Stats)
 	return 0
 }
 
-// loadCmd carries the load generator's flag bundle into runLoad.
-type loadCmd struct {
-	jobs, concurrency, victims int
-	seed                       uint64
-	mixName, dist              string
-	mix                        []service.JobSpec
-	cluster                    int
-	route                      string
-	benchOut                   string
-}
-
 // runLoad drives the in-process load generator and records the result.
-func runLoad(s service.Runner, drain func(), stats func() service.Stats, lc loadCmd, stdout, stderr *os.File) int {
-	topo := "single scheduler"
-	if lc.cluster > 1 {
-		topo = fmt.Sprintf("cluster n=%d route=%s", lc.cluster, lc.route)
-	}
+func runLoad(c *service.Cluster, lc service.LoadConfig, mixName, topo, benchOut string, stdout, stderr *os.File) int {
 	fmt.Fprintf(stdout, "scand: load run — %d jobs, %d submitters, %d victims (%s), %s scenarios, %s\n",
-		lc.jobs, lc.concurrency, lc.victims, lc.dist, lc.mixName, topo)
-	rep := service.RunLoad(s, service.LoadConfig{
-		Jobs:        lc.jobs,
-		Concurrency: lc.concurrency,
-		Victims:     lc.victims,
-		Seed:        lc.seed,
-		Mix:         lc.mix,
-		Dist:        lc.dist,
-	})
-	drain()
-	rep.Stats = stats()
-	if lc.cluster > 1 {
-		rep.Cluster = lc.cluster
-		rep.Route = lc.route
-	}
+		lc.Jobs, lc.Concurrency, lc.Victims, lc.Dist, mixName, topo)
+	rep := service.RunLoad(c, lc)
+	c.Drain()
+	rep.Stats = c.Stats().Stats
 	printStats(stdout, rep.Stats)
 	if len(rep.KindLatency) > 0 {
 		kinds := make([]string, 0, len(rep.KindLatency))
@@ -291,12 +273,12 @@ func runLoad(s service.Runner, drain func(), stats func() service.Stats, lc load
 		fmt.Fprintf(stderr, "scand: %d jobs failed\n", rep.Stats.Failed)
 		return 1
 	}
-	if lc.benchOut != "" {
-		if err := service.AppendBench(lc.benchOut, rep); err != nil {
+	if benchOut != "" {
+		if err := service.AppendBench(benchOut, rep); err != nil {
 			fmt.Fprintf(stderr, "scand: recording benchmark: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "recorded load entry in %s\n", lc.benchOut)
+		fmt.Fprintf(stdout, "recorded load entry in %s\n", benchOut)
 	}
 	return 0
 }

@@ -530,7 +530,7 @@ func TestWaitCtx(t *testing.T) {
 // finishes (or the capped wait elapses) and returns its state either way;
 // malformed waits are 400s.
 func TestHTTPWaitLongPoll(t *testing.T) {
-	s := New(Config{Executors: 1})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 1}})
 	defer s.Drain()
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
@@ -575,14 +575,14 @@ func TestHTTPWaitLongPoll(t *testing.T) {
 // deterministically wedged, admission control turns submissions away with
 // 429 + Retry-After before the queue is full, and /stats counts the sheds.
 func TestHTTPShedRetryAfter(t *testing.T) {
-	s := New(Config{
+	s := NewCluster(ClusterConfig{Config: Config{
 		Executors:     1,
 		QueueDepth:    8,
 		ShedWatermark: 2,
 		MaxAttempts:   1,
 		JobDeadline:   30 * time.Second,
 		Fault:         fault.Config{Seed: 8, Rates: fault.Rates{Stall: 1}},
-	})
+	}})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

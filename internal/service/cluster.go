@@ -31,8 +31,8 @@ const (
 // ClusterConfig tunes a single-process scheduler cluster.
 type ClusterConfig struct {
 	// Instances is the number of independent Scheduler instances behind
-	// the router (<= 1 means a single instance — still valid, still a
-	// Cluster, just a ring with one owner).
+	// the router. <= 1 means one instance, which behaves exactly like
+	// New(Config): the same job IDs, fault seed and unlabeled series.
 	Instances int
 	// HashReplicas is the virtual-node count per instance on the
 	// consistent-hash ring (0 = DefaultHashReplicas). More replicas
@@ -45,8 +45,8 @@ type ClusterConfig struct {
 	RouteSeed uint64
 	// Config is the per-instance scheduler configuration. Every instance
 	// receives its own copy — own bounded queue, executors, scan pool,
-	// session + calibration caches, fault injector and obs plane. When
-	// fault injection is enabled, each instance's injector seed is split
+	// session + calibration caches, fault injector and obs plane. With
+	// more than one instance, each instance's injector seed is split
 	// deterministically off Config.Fault.Seed (instance i never shares a
 	// fault stream with instance j).
 	Config Config
@@ -58,11 +58,12 @@ type ClusterConfig struct {
 }
 
 // Cluster runs N independent Scheduler instances behind a consistent-hash
-// router — single-process "cluster mode". Each instance owns the full
-// scheduler stack (queue, executors, scan pool, session/calibration
-// caches, fault injector, metrics plane); the router consistent-hashes
-// each job's victim key to an instance, proxies Submit/Wait/Drain, and
-// rolls per-instance stats and metrics up into one cluster view.
+// router — the one service surface scand serves, with a single scheduler
+// as its N = 1 case. Each instance owns the full scheduler stack (queue,
+// executors, scan pool, session/calibration caches, fault injector,
+// metrics plane); the router consistent-hashes each job's victim key to
+// an instance, proxies Submit/Wait/Drain, and rolls per-instance stats
+// and metrics up into one cluster view.
 // Placement never changes results: a job is a pure function of its spec,
 // so cluster output is bit-identical to the single-scheduler path — the
 // cluster parity suite enforces it.
@@ -111,41 +112,48 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg:    cfg,
 		insts:  make([]*Scheduler, n),
 		ring:   newRing(n, cfg.HashReplicas),
+		reg:    obs.NewRegistry(),
 		routed: make([]atomic.Uint64, n),
 	}
 	if cfg.Route == RouteShuffle {
 		c.shufflePerm = rng.New(cfg.RouteSeed ^ 0x5c057e12).Perm(n)
 	}
+	c.reg.GaugeFunc("scand_cluster_instances", "Scheduler instances behind the router.",
+		func() float64 { return float64(n) })
 	for i := 0; i < n; i++ {
 		ic := cfg.Config
-		// Globally unique job IDs with an O(1) id→instance mapping:
-		// instance i issues i + N, i + 2N, ... so id mod N == i.
-		ic.idOffset = uint64(i)
-		ic.idStride = uint64(n)
-		ic.Fault.Seed = instanceFaultSeed(cfg.Config.Fault.Seed, i)
+		var il []obs.Label
+		if n > 1 {
+			ic.Fault.Seed = instanceFaultSeed(cfg.Config.Fault.Seed, i)
+			ic.instance = strconv.Itoa(i)
+			il = []obs.Label{obs.L("instance", ic.instance)}
+		}
 		if cfg.Tune != nil {
 			ic = cfg.Tune(i, ic)
-			// Re-pin the ID shape: routing by id mod N must survive any
-			// per-instance tuning.
-			ic.idOffset = uint64(i)
-			ic.idStride = uint64(n)
 		}
+		// Globally unique job IDs with an O(1) id→instance mapping:
+		// instance i issues i + N, i + 2N, ... so id mod N == i. Pinned
+		// after Tune, like the shared registry, so no per-instance tuning
+		// can break routing or the rollup.
+		ic.idOffset, ic.idStride = uint64(i), uint64(n)
+		ic.metrics = c.reg
+		c.reg.CounterFunc("scand_router_routed_total", "Submissions the router accepted onto each instance.",
+			func() float64 { return float64(c.routed[i].Load()) }, il...)
 		c.insts[i] = New(ic)
 	}
-	c.reg = newClusterRegistry(c)
 	return c
 }
 
 // Instances returns the cluster size.
 func (c *Cluster) Instances() int { return len(c.insts) }
 
-// Instance exposes one scheduler instance (tests and the rollup).
+// Instance exposes one scheduler instance (tests, the rollup and the
+// daemon banner's effective per-instance config).
 func (c *Cluster) Instance(i int) *Scheduler { return c.insts[i] }
 
-// Metrics exposes the cluster's rolled-up metric registry: per-instance
-// labeled series (queue depth, job counters, cache hit/miss/evict,
-// faults, latency histograms) plus the router's own counters. Instance
-// registries remain scrapeable individually via Instance(i).Metrics().
+// Metrics exposes the cluster's one metric registry: every instance's
+// metrics plane (instance-labeled when N > 1) plus the router's own
+// series.
 func (c *Cluster) Metrics() *obs.Registry { return c.reg }
 
 // RouteSpec reports which instance a spec routes to (after normalization,
@@ -250,8 +258,8 @@ func (c *Cluster) Stats() ClusterStats {
 	var first, last time.Time
 	var finished, correct, completed int
 	for i, s := range c.insts {
+		ist := s.Stats() // evicts TTL-expired jobs before the snapshot below
 		agg := s.store.aggregate()
-		ist := s.Stats()
 		out.Instances = append(out.Instances, InstanceStats{
 			Instance:   i,
 			Routed:     c.routed[i].Load(),
@@ -297,10 +305,6 @@ func (c *Cluster) Stats() ClusterStats {
 	return out
 }
 
-// LoadStats returns the merged cluster-wide aggregate (the Runner surface
-// the load generator reports from).
-func (c *Cluster) LoadStats() Stats { return c.Stats().Stats }
-
 // KindLatencies merges the per-kind latency histograms across instances
 // (AddFrom into a scratch histogram per kind; instance histograms keep
 // recording).
@@ -320,56 +324,4 @@ func (c *Cluster) KindLatencies() map[Kind]KindLatency {
 		}
 	}
 	return out
-}
-
-// statsPayload serves ClusterStats on GET /stats.
-func (c *Cluster) statsPayload() any { return c.Stats() }
-
-// newClusterRegistry builds the cluster-wide metric rollup: every series
-// an operator needs to see the affinity win (and any per-instance
-// degradation) carries an `instance` label, read from the owning
-// instance's state at scrape time. Latency histograms are registered by
-// pointer per instance — Prometheus aggregates across the label; the
-// in-process merged view lives in ClusterStats.
-func newClusterRegistry(c *Cluster) *obs.Registry {
-	r := obs.NewRegistry()
-	r.GaugeFunc("scand_cluster_instances", "Scheduler instances behind the router.",
-		func() float64 { return float64(len(c.insts)) })
-	for i, s := range c.insts {
-		i, s := i, s
-		il := obs.L("instance", strconv.Itoa(i))
-		st := s.store
-		r.CounterFunc("scand_router_routed_total", "Submissions the router accepted onto each instance.",
-			func() float64 { return float64(c.routed[i].Load()) }, il)
-		r.GaugeFunc("scand_queue_depth", "Jobs waiting on each instance's bounded queue.",
-			func() float64 { return float64(s.QueueDepth()) }, il)
-		r.CounterFunc("scand_jobs_submitted_total", "Jobs accepted per instance.",
-			st.counterView(func(st *Store) int { return st.submitted }), il)
-		r.CounterFunc("scand_jobs_completed_total", "Jobs finished successfully per instance.",
-			st.counterView(func(st *Store) int { return st.completed }), il)
-		r.CounterFunc("scand_jobs_failed_total", "Jobs finished in failure per instance.",
-			st.counterView(func(st *Store) int { return st.failed }), il)
-		r.CounterFunc("scand_jobs_rejected_total", "Submissions rejected per instance (queue full, shed, draining).",
-			st.counterView(func(st *Store) int { return st.rejected }), il)
-		r.CounterFunc("scand_job_retries_total", "Transient-failure retries per instance.",
-			st.counterView(func(st *Store) int { return st.retries }), il)
-		cache := s.cache
-		r.CounterFunc("scand_session_hits_total", "Jobs served from a parked cached session, per instance.",
-			func() float64 { return float64(cache.snapshot().SessionHits) }, il)
-		r.CounterFunc("scand_sessions_built_total", "Session-cache misses (full boots), per instance.",
-			func() float64 { return float64(cache.snapshot().SessionMisses) }, il)
-		r.CounterFunc("scand_calibrations_reused_total", "Calibration-cache hits per instance.",
-			func() float64 { return float64(cache.snapshot().CalibrationHits) }, il)
-		r.CounterFunc("scand_calibrations_run_total", "Calibration-cache misses per instance.",
-			func() float64 { return float64(cache.snapshot().CalibrationMisses) }, il)
-		r.CounterFunc("scand_sessions_quarantined_total", "Sessions condemned and dropped, per instance.",
-			func() float64 { return float64(cache.snapshot().Quarantined) }, il)
-		r.CounterFunc("scand_sessions_evicted_total", "Healthy idle sessions dropped at the cap, per instance.",
-			func() float64 { return float64(cache.snapshot().Evicted) }, il)
-		r.CounterFunc("scand_faults_injected_total", "Deterministic faults fired per instance.",
-			func() float64 { return float64(s.inj.TotalFired()) }, il)
-		r.RegisterHistogram("scand_job_latency_seconds",
-			"End-to-end job latency per instance.", st.latencyHistogram(), il)
-	}
-	return r
 }

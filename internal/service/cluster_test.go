@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // ringKeys builds a synthetic victim-key population shaped like real
@@ -238,7 +239,7 @@ func TestClusterAffinityBeatsShuffledRoundRobin(t *testing.T) {
 		if rep.Stats.Failed > 0 || rep.SubmitErrors > 0 {
 			t.Fatalf("route=%s: %d failed, %d submit errors", route, rep.Stats.Failed, rep.SubmitErrors)
 		}
-		return c.LoadStats()
+		return c.Stats().Stats
 	}
 	hash := run(RouteHash)
 	shuffle := run(RouteShuffle)
@@ -461,7 +462,7 @@ func TestClusterMetricsInstanceLabels(t *testing.T) {
 		`scand_calibrations_run_total{instance="1"}`,
 		`scand_sessions_quarantined_total{instance="0"}`,
 		`scand_sessions_evicted_total{instance="0"}`,
-		`scand_faults_injected_total{instance="1"}`,
+		`scand_faults_injected_total{instance="1",site="probe"}`,
 		`scand_job_latency_seconds_count{instance=`,
 	} {
 		if !strings.Contains(out, want) {
@@ -476,7 +477,7 @@ func TestClusterMetricsInstanceLabels(t *testing.T) {
 // exposition. Satellite contract: cache hit/miss surfaces in both.
 func TestHTTPClusterEndpoints(t *testing.T) {
 	c := NewCluster(ClusterConfig{Instances: 3, Config: Config{Executors: 1}})
-	srv := httptest.NewServer(NewClusterHandler(c))
+	srv := httptest.NewServer(NewHandler(c))
 	defer srv.Close()
 	defer c.Drain()
 
@@ -608,5 +609,132 @@ func TestClusterRoutingInterleavingIndependent(t *testing.T) {
 		if placed[i] != want[i] {
 			t.Fatalf("spec %d placed on instance %d under concurrency, serial routing says %d", i, placed[i], want[i])
 		}
+	}
+}
+
+// A one-instance cluster is exactly New(cfg): under the serialized chaos
+// config it must issue the same job IDs and produce the same results,
+// canonical span trees and per-site fault counts as a plain scheduler —
+// no fault-seed split, no ID reshaping — and its /metrics must carry no
+// instance label.
+func TestClusterOneInstanceTraceParity(t *testing.T) {
+	cfg := Config{
+		Executors:   1,
+		QueueDepth:  64,
+		MaxAttempts: 3,
+		JobDeadline: -1, // serialized determinism needs no watchdog races
+		TraceSample: 1,
+		Fault:       fault.Config{Seed: 7, Rates: chaosRates()},
+	}
+	type outcome struct {
+		ID       uint64
+		Status   Status
+		Err      string
+		ErrClass ErrorClass
+		Attempts int
+		Result   *Result
+		Trace    string
+	}
+	// The read surface both a Scheduler and a Cluster serve.
+	type surface interface {
+		Submit(JobSpec) (*Job, error)
+		JobSnapshot(uint64) (Job, bool)
+		Trace(uint64) (*obs.Trace, bool)
+		Drain()
+	}
+	run := func(s surface, inst *Scheduler) ([]outcome, [6]uint64) {
+		t.Helper()
+		defer s.Drain()
+		var jobs []*Job
+		for i, spec := range chaosTraceSpecs() {
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			jobs = append(jobs, j)
+		}
+		out := make([]outcome, len(jobs))
+		for i, j := range jobs {
+			<-j.Done()
+			snap, ok := s.JobSnapshot(j.ID)
+			if !ok {
+				t.Fatalf("job %d vanished", j.ID)
+			}
+			tr, ok := s.Trace(j.ID)
+			if !ok {
+				t.Fatalf("job %d: no trace at sample rate 1", j.ID)
+			}
+			b, err := tr.CanonicalJSON()
+			if err != nil {
+				t.Fatalf("job %d: canonical: %v", j.ID, err)
+			}
+			out[i] = outcome{j.ID, snap.Status, snap.Err, snap.ErrClass, snap.Attempts, snap.Result, string(b)}
+		}
+		var fired [6]uint64
+		for _, site := range fault.Sites() {
+			fired[site] = inst.inj.Fired(site)
+		}
+		return out, fired
+	}
+	s := New(cfg)
+	want, wantFired := run(s, s)
+	c := NewCluster(ClusterConfig{Config: cfg})
+	got, gotFired := run(c, c.Instance(0))
+
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("job %d diverged from New(cfg):\n scheduler %+v\n cluster   %+v", i, want[i], got[i])
+		}
+	}
+	if wantFired != gotFired {
+		t.Fatalf("per-site fault counts diverged: scheduler %v, cluster %v", wantFired, gotFired)
+	}
+	if wantFired == ([6]uint64{}) {
+		t.Fatal("chaos run injected nothing")
+	}
+	var sb strings.Builder
+	if err := c.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); strings.Contains(out, "instance=") {
+		t.Fatalf("one-instance /metrics carries an instance label:\n%s", out)
+	}
+}
+
+// With N > 1 every instance registers its whole metrics plane on the
+// cluster registry, instance label first: the per-kind, stage, shed and
+// trace series a single scheduler serves exist once per instance.
+func TestClusterMetricsFullPlanePerInstance(t *testing.T) {
+	c := NewCluster(ClusterConfig{Instances: 2, Config: Config{Executors: 1, TraceSample: 1}})
+	defer c.Drain()
+	for seed := uint64(1); seed <= 6; seed++ {
+		j, err := c.Submit(JobSpec{Kind: KindKernelBase, CPU: "12400F", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	if err := c.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, inst := range []string{"0", "1"} {
+		for _, want := range []string{
+			`scand_job_latency_seconds_count{instance="` + inst + `",kind="kernelbase"}`,
+			`scand_stage_seconds_count{instance="` + inst + `",stage="execute"}`,
+			`scand_jobs_shed_total{instance="` + inst + `"} 0`,
+			`scand_traces_started_total{instance="` + inst + `"}`,
+			`scand_defense_evals_total{instance="` + inst + `",defense="flare"} 0`,
+		} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("cluster /metrics missing %q\n%s", want, out)
+			}
+		}
+	}
+	if strings.Contains(out, "\nscand_jobs_submitted_total ") {
+		t.Fatalf("N=2 /metrics carries an unlabeled plane series:\n%s", out)
 	}
 }

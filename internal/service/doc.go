@@ -94,8 +94,8 @@
 //     across the cluster; the router resolves any ID back to its owner in
 //     O(1) as id mod N (waits, snapshots, traces).
 //   - Failure stays per-instance. Admission control, shedding, fault
-//     injection (per-instance seeds split deterministically off the base
-//     seed) and quarantine are all instance-local: one overloaded or
+//     injection (with N > 1, per-instance seeds split deterministically
+//     off the base seed) and quarantine are all instance-local: one overloaded or
 //     faulty instance degrades its own key range while the rest of the
 //     cluster serves untouched, and identical seeds reproduce identical
 //     per-instance traces.
@@ -103,8 +103,15 @@
 //     and recomputes the rates (latency quantiles via the mergeable
 //     obs.Histogram.AddFrom, jobs/s over the global first-submit →
 //     last-finish span), keeping per-instance rows — queue depth, routed
-//     counts, cache hit/miss/evict — visible; Cluster.Metrics() serves
-//     the same signals as instance-labeled Prometheus series.
+//     counts, cache hit/miss/evict — visible. Cluster.Metrics() is one
+//     registry: every instance registers its full metrics plane on it,
+//     with instance="i" as the first label when N > 1, next to the
+//     router's own series.
+//   - One surface. NewHandler, RunLoad and cmd/scand serve only a
+//     Cluster. A one-instance cluster is exactly New(Config): the same
+//     job IDs, the same fault seed (no per-instance split) and unlabeled
+//     series, so the single-scheduler daemon is the N = 1 case, not a
+//     second code path.
 //
 // # Failure semantics
 //
@@ -156,8 +163,8 @@
 // evicted — in-flight jobs are pinned so drains always complete — and the
 // aggregates live in counters and fixed-bucket histograms (internal/obs)
 // that survive eviction, so a long-lived scand serves unbounded traffic in
-// bounded memory with O(buckets) stats scrapes. cmd/scand exposes the
-// scheduler over HTTP and doubles as the load generator that records
+// bounded memory with O(buckets) stats scrapes. cmd/scand exposes a
+// Cluster over HTTP and doubles as the load generator that records
 // sustained-throughput entries in BENCH_scan.json.
 //
 // # Observability contract

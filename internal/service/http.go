@@ -18,54 +18,41 @@ import (
 // bounded response and re-polls.
 const MaxWaitPoll = 30 * time.Second
 
-// api is the surface the HTTP layer serves. Both *Scheduler and *Cluster
-// implement it, so daemon mode and cluster mode share one handler: same
-// routes, same status codes, same payload shapes — the only difference is
-// what /stats and /metrics aggregate over.
-type api interface {
-	Submit(spec JobSpec) (*Job, error)
-	JobSnapshot(id uint64) (Job, bool)
-	JobDone(id uint64) (<-chan struct{}, bool)
-	Trace(id uint64) (*obs.Trace, bool)
-	Metrics() *obs.Registry
-	statsPayload() any
-	Drain()
-}
+// maxJobSpecBytes caps a POST /jobs body. The largest legitimate spec (a
+// defense evaluation with a period list) is a few hundred bytes; anything
+// past the cap is rejected as a bad job spec, never buffered.
+const maxJobSpecBytes = 64 << 10
 
-// NewHandler exposes a scheduler over HTTP — the scand daemon's API:
+// NewHandler exposes a cluster over HTTP — the scand daemon's API:
 //
 //	POST /jobs       submit a JobSpec (JSON body) → 202 {"id": N}
 //	GET  /jobs/{id}  job status + result; ?wait=2s long-polls until the
 //	                 job finishes or the (capped) wait elapses — the
 //	                 response is the job's state either way
-//	GET  /stats      aggregate service stats
+//	GET  /stats      ClusterStats: the merged aggregate plus one row per
+//	                 instance
 //	GET  /metrics    Prometheus text exposition (counters, gauges,
 //	                 per-kind/per-defense/per-site labels, stage and
-//	                 latency histograms)
+//	                 latency histograms; instance-labeled when N > 1)
 //	GET  /jobs/{id}/trace  sampled lifecycle trace: JSON span tree, or an
 //	                 ASCII timeline with ?format=ascii (404 when the job
 //	                 was unsampled or its trace was evicted)
 //	POST /drain      stop accepting, run the queue dry (async) → 202
 //	GET  /healthz    liveness
 //
-// Rejections map to HTTP backpressure codes: 429 + Retry-After on a full
-// queue or when admission control sheds (ShedWatermark), 503 while
-// draining.
-func NewHandler(s *Scheduler) http.Handler { return newAPIHandler(s) }
-
-// NewClusterHandler serves the same API over a Cluster: submissions are
-// consistent-hash routed to the owning instance, /jobs/{id} and trace
-// lookups follow the id→instance mapping, /stats returns the ClusterStats
-// rollup (merged aggregate + per-instance rows), and /metrics is the
-// instance-labeled cluster registry. Clients cannot tell a cluster from a
-// single scheduler except by reading those richer payloads.
-func NewClusterHandler(c *Cluster) http.Handler { return newAPIHandler(c) }
-
-func newAPIHandler(s api) http.Handler {
+// Submissions are routed to the owning instance and job lookups follow
+// the id→instance mapping, so a one-instance cluster and an N-instance
+// one serve the same routes, status codes and payload shapes. A spec with
+// unknown fields or a body over maxJobSpecBytes is a 400. Rejections map
+// to HTTP backpressure codes: 429 + Retry-After on a full queue or when
+// admission control sheds (ShedWatermark), 503 while draining.
+func NewHandler(s *Cluster) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 			return
 		}
@@ -136,7 +123,7 @@ func newAPIHandler(s api) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"job_id": id, "trace": root})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.statsPayload())
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

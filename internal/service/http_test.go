@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,7 +31,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]an
 // The daemon API end to end: submit, poll to completion, stats, drain,
 // rejection after drain.
 func TestHTTPSubmitPollDrain(t *testing.T) {
-	s := New(Config{Executors: 2})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 2}})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
@@ -99,7 +100,7 @@ func TestHTTPSubmitPollDrain(t *testing.T) {
 
 // Bad requests map to 400/404.
 func TestHTTPBadRequests(t *testing.T) {
-	s := New(Config{Executors: 1})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 1}})
 	defer s.Drain()
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
@@ -107,7 +108,21 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp, _ := postJSON(t, srv.URL+"/jobs", map[string]any{"kind": "frobnicate"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kind: status %d", resp.StatusCode)
 	}
-	r, err := http.Get(srv.URL + "/jobs/999")
+	if resp, _ := postJSON(t, srv.URL+"/jobs", map[string]any{"kind": "kernelbase", "cpuu": "5600X"}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown spec field: status %d", resp.StatusCode)
+	}
+	// A valid spec padded past the body cap with JSON whitespace: only the
+	// size is wrong.
+	big := `{"kind":"kernelbase","seed":1` + strings.Repeat(" ", maxJobSpecBytes) + `}`
+	r, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d", r.StatusCode)
+	}
+	r, err = http.Get(srv.URL + "/jobs/999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -503,8 +503,8 @@ type Job struct {
 	ID   uint64  `json:"id"`
 	Spec JobSpec `json:"spec"`
 
-	Status Status  `json:"status"`
-	Err    string  `json:"error,omitempty"`
+	Status Status `json:"status"`
+	Err    string `json:"error,omitempty"`
 	// ErrClass is the failure's retry classification (failed jobs only).
 	ErrClass ErrorClass `json:"error_class,omitempty"`
 	Result   *Result    `json:"result,omitempty"`
@@ -531,9 +531,3 @@ type Job struct {
 
 // Done returns a channel closed when the job completes (done or failed).
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// QueueLatency and RunLatency split the job's host wall-clock.
-func (j *Job) QueueLatency() time.Duration { return j.Started.Sub(j.Submitted) }
-
-// RunLatency returns the executor wall-clock of a finished job.
-func (j *Job) RunLatency() time.Duration { return j.Finished.Sub(j.Started) }

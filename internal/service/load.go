@@ -15,17 +15,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Runner is the submission surface the load generator drives. Both
-// *Scheduler and *Cluster implement it, so one RunLoad exercises daemon
-// mode and cluster mode identically — the cluster row in BENCH_scan.json
-// is produced by the same harness as the single-scheduler row.
-type Runner interface {
-	Submit(spec JobSpec) (*Job, error)
-	WaitCtx(ctx context.Context, j *Job) (*Result, error)
-	LoadStats() Stats
-	KindLatencies() map[Kind]KindLatency
-}
-
 // Victim-distribution names for LoadConfig.Dist.
 const (
 	// DistUniform cycles the victim pool round-robin (job i → victim
@@ -125,16 +114,16 @@ type LoadConfig struct {
 
 // LoadReport is the outcome of one load run.
 type LoadReport struct {
-	Jobs        int     `json:"jobs"`
-	Concurrency int     `json:"concurrency"`
-	Dist        string  `json:"dist"`
-	// Cluster and Route describe the runner when it was a Cluster
-	// (instance count and routing policy); zero/empty for a single
-	// scheduler. Set by the caller, recorded in the bench entry.
+	Jobs        int    `json:"jobs"`
+	Concurrency int    `json:"concurrency"`
+	Dist        string `json:"dist"`
+	// Cluster and Route describe a multi-instance run (instance count and
+	// routing policy); zero/empty for a one-instance cluster. Recorded in
+	// the bench entry.
 	Cluster int     `json:"cluster,omitempty"`
 	Route   string  `json:"route,omitempty"`
 	WallSec float64 `json:"wall_sec"`
-	Retries     int     `json:"retries"` // backpressure resubmissions (queue full / shed)
+	Retries int     `json:"retries"` // backpressure resubmissions (queue full / shed)
 	// SubmitErrors counts submissions the scheduler rejected permanently
 	// (invalid spec); those jobs are skipped, not retried.
 	SubmitErrors int `json:"submit_errors,omitempty"`
@@ -148,12 +137,14 @@ type LoadReport struct {
 	KindLatency map[Kind]KindLatency `json:"kind_latency,omitempty"`
 }
 
-// RunLoad hammers the scheduler with cfg.Jobs submissions drawn from the
+// RunLoad hammers the cluster with cfg.Jobs submissions drawn from the
 // mix and waits for all of them: the sustained-traffic harness behind
-// `scand -load` and the race/throughput suite. Queue-full rejections are
-// retried after a short backoff, so the bounded queue is continuously
-// saturated without ever blocking inside Submit.
-func RunLoad(s Runner, cfg LoadConfig) LoadReport {
+// `scand -load` and the race/throughput suite. One-instance and
+// N-instance clusters run through the same harness, so the LoadMixed and
+// LoadCluster rows in BENCH_scan.json are directly comparable. Queue-full
+// rejections are retried after a short backoff, so the bounded queue is
+// continuously saturated without ever blocking inside Submit.
+func RunLoad(s *Cluster, cfg LoadConfig) LoadReport {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 64
 	}
@@ -243,7 +234,7 @@ func RunLoad(s Runner, cfg LoadConfig) LoadReport {
 		}()
 	}
 	wg.Wait()
-	return LoadReport{
+	rep := LoadReport{
 		Jobs:         cfg.Jobs,
 		Concurrency:  cfg.Concurrency,
 		Dist:         cfg.Dist,
@@ -251,9 +242,13 @@ func RunLoad(s Runner, cfg LoadConfig) LoadReport {
 		Retries:      retries,
 		SubmitErrors: subErrors,
 		WaitTimeouts: waitTimeouts,
-		Stats:        s.LoadStats(),
+		Stats:        s.Stats().Stats,
 		KindLatency:  s.KindLatencies(),
 	}
+	if n := s.Instances(); n > 1 {
+		rep.Cluster, rep.Route = n, s.cfg.Route
+	}
+	return rep
 }
 
 // victimAssignment precomputes job index → victim pool index before any

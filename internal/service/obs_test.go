@@ -123,7 +123,7 @@ func TestTraceSealedBeforeDone(t *testing.T) {
 // Unsampled jobs must cost nothing and serve 404s; sampled jobs must be
 // retrievable in both JSON and ASCII form.
 func TestTraceEndpoint(t *testing.T) {
-	s := New(Config{Executors: 1, TraceSample: 2})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 1, TraceSample: 2}})
 	defer s.Drain()
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
@@ -179,7 +179,7 @@ func TestTraceEndpoint(t *testing.T) {
 // per-defense labels, and histogram series — all present after a couple of
 // jobs.
 func TestMetricsEndpoint(t *testing.T) {
-	s := New(Config{Executors: 2, TraceSample: 1})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 2, TraceSample: 1}})
 	defer s.Drain()
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()

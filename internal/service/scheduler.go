@@ -88,6 +88,12 @@ type Config struct {
 	// NewCluster sets them.
 	idOffset uint64
 	idStride uint64
+	// metrics is the registry the scheduler's metrics plane registers on
+	// (nil = a private one), and instance, when non-empty, is the
+	// instance="…" label prefixed to every series. NewCluster points all
+	// of its instances at its one registry and labels them when N > 1.
+	metrics  *obs.Registry
+	instance string
 }
 
 // DefaultJobDeadline is the per-attempt watchdog deadline when
@@ -191,10 +197,6 @@ func (s *Scheduler) Store() *Store { return s.store }
 
 // Config returns the scheduler's normalized configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// Metrics exposes the scheduler's metric registry (the GET /metrics
-// surface; also scrapeable in-process).
-func (s *Scheduler) Metrics() *obs.Registry { return s.met.reg }
 
 // Trace returns a sampled job's lifecycle trace, if the recorder still
 // retains it (false when tracing is off, the job was unsampled, or the
@@ -315,13 +317,6 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// LoadStats returns the aggregate the load generator reports from (the
-// Runner surface; the cluster's version merges across instances).
-func (s *Scheduler) LoadStats() Stats { return s.Stats() }
-
-// statsPayload serves Stats on GET /stats.
-func (s *Scheduler) statsPayload() any { return s.Stats() }
-
 // JobSnapshot returns a consistent copy of a retained job's public state.
 func (s *Scheduler) JobSnapshot(id uint64) (Job, bool) { return s.store.Snapshot(id) }
 
@@ -334,10 +329,6 @@ func (s *Scheduler) JobDone(id uint64) (<-chan struct{}, bool) {
 	}
 	return j.Done(), true
 }
-
-// KindLatencies returns the per-kind end-to-end latency breakdown (the
-// Runner surface RunLoad reports from).
-func (s *Scheduler) KindLatencies() map[Kind]KindLatency { return s.store.KindLatencies() }
 
 // QueueDepth reports how many accepted jobs currently wait on the bounded
 // queue (the per-instance load signal the cluster rollup exports).

@@ -20,7 +20,7 @@ func cheapMix() []JobSpec {
 // with every job accounted for. Run under -race (make test-race / make ci)
 // this is the service's data-race gate.
 func TestLoadConcurrentMixedWorkload(t *testing.T) {
-	s := New(Config{Executors: 8, QueueDepth: 32, ScanWorkers: 2})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 8, QueueDepth: 32, ScanWorkers: 2}})
 	rep := RunLoad(s, LoadConfig{Jobs: 96, Concurrency: 64, Seed: 100, Mix: cheapMix()})
 	s.Drain()
 
@@ -145,7 +145,7 @@ func TestStoreStreamsCompletions(t *testing.T) {
 
 // AppendBench must write a BENCH_scan.json-schema line.
 func TestAppendBenchWritesEntry(t *testing.T) {
-	s := New(Config{Executors: 2})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 2}})
 	rep := RunLoad(s, LoadConfig{Jobs: 4, Concurrency: 2, Seed: 500, Mix: cheapMix()[:1]})
 	s.Drain()
 	path := t.TempDir() + "/bench.json"

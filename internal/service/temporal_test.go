@@ -196,7 +196,7 @@ func TestLoadMixIncludesTemporalKinds(t *testing.T) {
 		t.Fatalf("DefaultMix lacks temporal kinds (spy=%v, fingerprint=%v)", haveSpy, haveFP)
 	}
 
-	s := New(Config{Executors: 4, ScanWorkers: 2, QueueDepth: 16})
+	s := NewCluster(ClusterConfig{Config: Config{Executors: 4, ScanWorkers: 2, QueueDepth: 16}})
 	rep := RunLoad(s, LoadConfig{Jobs: 2 * len(mix), Concurrency: 4, Victims: 3, Seed: 11})
 	s.Drain()
 	st := s.Stats()
