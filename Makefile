@@ -1,13 +1,14 @@
 # Build / verify / benchmark entry points.
 #
-#   make vet       - go vet
+#   make vet       - go vet, and fail if gofmt -l . lists any file
 #   make test      - tier-1 (go build ./... && go test ./...)
 #   make test-race - the full suite under the race detector (catches
 #                    replica-state leaks between pooled/concurrent scans
 #                    and scheduler races in the service layer)
 #   make ci        - what CI runs: vet + tier-1 + the race-parity suite +
 #                    the GOMAXPROCS=2 tier (ci-smp) + the chaos tier +
-#                    the observability tier + the cluster tier
+#                    the observability tier + the cluster tier + the
+#                    HTTP smoke
 #   make ci-smp    - re-run the build and the temporal/engine suites with
 #                    GOMAXPROCS=2 (temporal suite under -race): single-core
 #                    CI containers otherwise never execute the sharded
@@ -43,27 +44,24 @@
 #                    on >10% throughput regressions in probes/s, jobs/s or
 #                    ticks/s (STRICT=1 to fail on one; check the recorded
 #                    num_cpu before blaming the code)
-#   make load      - run the scand load generator (mixed attack scenarios
-#                    through a one-instance cluster, the daemon's default)
-#                    and append a jobs/s + p50/p99 latency entry to
-#                    BENCH_scan.json (the LoadMixed row), then repeat
-#                    through a 4-instance hash-routed cluster on the zipfian
-#                    victim skew (the LoadCluster row: session_hit_rate is
-#                    the affinity metric bench_compare watches)
-#   make load-smoke - two short scand -load passes, nothing recorded: the
-#                    mixed workload (incl. the stateful behaviorspy/
-#                    appfingerprint kinds) on one instance, then the same
-#                    arguments through a 2-instance cluster on the zipfian
-#                    skew — the CI smoke that the service stack, router
-#                    included, serves every kind end to end
+#   make smoke     - the daemon's HTTP API under -race with GOMAXPROCS=2:
+#                    every kind of the mixed workload (incl. the stateful
+#                    behaviorspy/appfingerprint kinds) posted, long-polled
+#                    to done and checked in /stats, on one instance and
+#                    through a 2-instance cluster — the CI smoke that the
+#                    service stack, router included, serves every kind end
+#                    to end
+#
+# End-to-end throughput and latency of the daemon are measured over its
+# HTTP API by bash scandbench/run.sh (see scandbench/README.md).
 
 GO ?= go
 
-.PHONY: all vet test test-race ci ci-smp ci-chaos ci-obs ci-cluster bench bench-all bench-compare load load-smoke
+.PHONY: all vet test test-race ci ci-smp ci-chaos ci-obs ci-cluster bench bench-all bench-compare smoke
 
 all: vet test
 
-ci: vet test test-race ci-smp ci-chaos ci-obs ci-cluster load-smoke bench-compare
+ci: vet test test-race ci-smp ci-chaos ci-obs ci-cluster smoke bench-compare
 
 # -count=1: the test cache does not key on GOMAXPROCS, so without it this
 # tier would silently reuse the single-P results.
@@ -97,12 +95,13 @@ ci-cluster:
 # nil-recorder path).
 ci-obs:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/obs ./internal/trace
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'SpanTree|Trace|Metrics|StoreStats|KindLatencies|ZeroAlloc' ./internal/service
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'SpanTree|Trace|Metrics|StoreStats|ZeroAlloc' ./internal/service
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestDisabledPathZeroAlloc' ./internal/obs
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestSchedulerDisabledTraceZeroAlloc' ./internal/service
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) build ./...
@@ -112,7 +111,7 @@ test-race:
 	$(GO) test -race ./...
 
 bench: vet test
-	./scripts/bench.sh 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch'
+	./scripts/bench.sh 'BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix|BenchmarkExecMasked|BenchmarkProbeMapped'
 
 bench-all: vet test
 	./scripts/bench.sh '.'
@@ -120,10 +119,5 @@ bench-all: vet test
 bench-compare:
 	./scripts/bench_compare.sh
 
-load:
-	$(GO) run ./cmd/scand -load -scan-workers 2
-	$(GO) run ./cmd/scand -load -scan-workers 2 -cluster 4 -load-dist zipfian
-
-load-smoke:
-	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out ''
-	$(GO) run ./cmd/scand -load -jobs 30 -concurrency 6 -victims 5 -scan-workers 2 -bench-out '' -cluster 2 -load-dist zipfian
+smoke:
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run TestHTTPServesDefaultMix ./internal/service

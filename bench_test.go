@@ -449,28 +449,6 @@ func BenchmarkProbeMapped(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBatch measures the batched double-execution probe
-// (Prober.ProbeBatch over a 512-page chunk) — the per-probe host cost the
-// batched sweep pipeline pays, to compare against BenchmarkProbeMapped's
-// one-call-per-VA cost.
-func BenchmarkProbeBatch(b *testing.B) {
-	m := machine.New(uarch.AlderLake12400F(), 1)
-	if _, err := linux.Boot(m, linux.Config{Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.NewProber(m, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const chunk = 512
-	cycles := make([]float64, chunk)
-	fast := make([]bool, chunk)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += chunk {
-		p.ProbeBatch(linux.ModuleRegionBase, chunk, paging.Page4K, cycles, fast)
-	}
-}
-
 // BenchmarkExecMasked measures one simulated masked load.
 func BenchmarkExecMasked(b *testing.B) {
 	m := machine.New(uarch.IceLake1065G7(), 1)
@@ -682,16 +660,39 @@ func BenchmarkAblationRerandPeriod(b *testing.B) {
 	b.ReportMetric(crossover*1e6, "min_exploitable_period_us")
 }
 
+// defenseMatrix is the vendor × defense scenario fan-out: every §V
+// countermeasure evaluated on every preset whose probe semantics support
+// the evaluation's attacks. FLARE and FGKASLR rest on the Intel TLB-probe
+// path (P4); AMD parts take the re-randomization row, whose base recovery
+// uses the P3 term-level sweep. Seeds are assigned per submission.
+func defenseMatrix() []service.JobSpec {
+	var specs []service.JobSpec
+	for _, cpu := range []string{"12400F", "1065G7", "9900"} {
+		specs = append(specs,
+			service.JobSpec{Kind: service.KindDefenseEval, CPU: cpu, Defense: service.DefenseFLARE},
+			service.JobSpec{Kind: service.KindDefenseEval, CPU: cpu, Defense: service.DefenseFGKASLR},
+			service.JobSpec{Kind: service.KindDefenseEval, CPU: cpu, Defense: service.DefenseRerand},
+		)
+	}
+	return append(specs,
+		service.JobSpec{Kind: service.KindDefenseEval, CPU: "5600X", Defense: service.DefenseRerand,
+			RerandPeriodsSec: []float64{0.0001, 0.001, 0.01, 0.1, 1}},
+		service.JobSpec{Kind: service.KindDefenseEval, CPU: "12400F", Defense: service.DefenseRerand,
+			RerandPeriodsSec: []float64{0.0001, 0.001, 0.01, 0.1, 1}},
+		service.JobSpec{Kind: service.KindDefenseEval, Defense: service.DefenseMaskedOp},
+	)
+}
+
 // BenchmarkDefenseMatrix measures the defense-aware scenario matrix
 // through the service scheduler: one pass submits every vendor × defense
-// evaluation of service.DefenseMatrix (FLARE, FGKASLR, re-randomization +
+// evaluation of defenseMatrix (FLARE, FGKASLR, re-randomization +
 // sweeps, masked-op restriction) and waits for all of them. jobs/s is the
 // scheduler-level countermeasure-evaluation throughput; session and
 // calibration reuse across b.N passes is the steady-state the daemon sees.
 func BenchmarkDefenseMatrix(b *testing.B) {
 	s := service.New(service.Config{Executors: 2, ScanWorkers: 2, QueueDepth: 64})
 	defer s.Drain()
-	matrix := service.DefenseMatrix()
+	matrix := defenseMatrix()
 	jobs := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@
 // deterministic chaos run: the whole fault schedule is a pure function of
 // the seed.
 //
-// Daemon mode serves a service.Cluster of -cluster N independent
+// The daemon serves a service.Cluster of -cluster N independent
 // scheduler instances — each with its own queue, executors, scan pool,
 // session/calibration caches, fault injector and metrics plane — behind a
 // consistent-hash router. The default (-cluster 0 or 1) is one instance,
@@ -28,10 +28,10 @@
 // placed by victim key (-hash-replicas virtual nodes per instance), so
 // every job against one victim lands on the instance whose caches already
 // hold that victim's session and calibration; -route shuffle swaps in the
-// victim-blind shuffled round-robin baseline (the affinity ablation). The
-// HTTP API is the same at every N: /stats returns the merged aggregate
-// plus one row per instance, and /metrics carries an instance label on
-// every series when N > 1.
+// victim-blind shuffled round-robin baseline (the affinity ablation, over
+// a fixed instance permutation). The HTTP API is the same at every N:
+// /stats returns the merged aggregate plus one row per instance, and
+// /metrics carries an instance label on every series when N > 1.
 //
 //	scand [-addr :8440] [-executors N] [-scan-workers N] [-queue N] [-fresh]
 //	      [-store-max-jobs N] [-store-ttl D] [-pprof localhost:6060]
@@ -49,11 +49,10 @@
 // GET /jobs/{id}/trace. With -trace-sample 0 the recorder is nil and the
 // instrumented path costs one nil check per stage.
 //
-// -pprof serves net/http/pprof from its own mux on a side listener (works
-// in both daemon and load mode), so CPU/heap profiles of a live daemon
-// never share a port with the job API. The job API rejects unknown spec
-// fields and bodies over a fixed cap with 400, and its server bounds
-// header, request and idle time.
+// -pprof serves net/http/pprof from its own mux on a side listener, so
+// CPU/heap profiles of a live daemon never share a port with the job API.
+// The job API rejects unknown spec fields and bodies over a fixed cap with
+// 400, and its server bounds header, request and idle time.
 //
 //	POST /jobs       {"kind":"kernelbase","cpu":"12400F","seed":7}  → {"id":1}
 //	POST /jobs       {"kind":"behaviorspy","seed":7,"duration_sec":20}
@@ -67,17 +66,9 @@
 //	GET  /metrics    Prometheus text exposition
 //	POST /drain      graceful drain (finish queued work, refuse new jobs)
 //
-// SIGINT/SIGTERM also drain before exiting. Load-generator mode hammers
-// the same cluster in-process with a scenario workload — -mix mixed (every
-// kind: both vendors, SGX, cloud, both temporal kinds, defense evals) or
-// -mix defense (the vendor × FLARE/FGKASLR/rerand matrix), drawing
-// victims uniformly or from a seeded zipfian skew (-load-dist) — and
-// appends a throughput entry to BENCH_scan.json (LoadMixed for one
-// instance, LoadCluster for -cluster N > 1):
-//
-//	scand -load [-mix mixed|defense] [-load-dist uniform|zipfian] [-jobs 256]
-//	      [-concurrency 64] [-victims 16] [-cluster N] [-route hash|shuffle]
-//	      [-bench-out BENCH_scan.json]
+// SIGINT/SIGTERM also drain before exiting. End-to-end throughput and
+// latency are measured from outside, over this API, by the scandbench
+// module (bash scandbench/run.sh).
 package main
 
 import (
@@ -88,7 +79,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -109,8 +99,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses flags and starts the daemon or the load generator; split from
-// main for tests.
+// run parses flags and serves the daemon until it drains; split from main
+// for tests.
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("scand", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -133,14 +123,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		clusterN    = fs.Int("cluster", 0, "shard into N scheduler instances behind the consistent-hash router (0/1 = one instance)")
 		hashReps    = fs.Int("hash-replicas", 0, "cluster: virtual nodes per instance on the hash ring (0 = default)")
 		route       = fs.String("route", "hash", "cluster: routing policy — hash (victim-key affinity) or shuffle (victim-blind baseline)")
-		load        = fs.Bool("load", false, "run the load generator instead of the daemon")
-		jobs        = fs.Int("jobs", 256, "load: total jobs")
-		concurrency = fs.Int("concurrency", 64, "load: concurrent submitters")
-		victims     = fs.Int("victims", 16, "load: victim pool size (repeat-scan ratio)")
-		seed        = fs.Uint64("seed", 1, "load: base victim seed")
-		mix         = fs.String("mix", "mixed", "load: scenario rotation — mixed (every kind incl. defense evals) or defense (the vendor × defense matrix)")
-		loadDist    = fs.String("load-dist", "uniform", "load: victim distribution — uniform (round-robin pool) or zipfian (seeded skew, a few hot victims)")
-		benchOut    = fs.String("bench-out", "BENCH_scan.json", "load: benchmark trajectory file (empty = don't record)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -171,7 +153,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		Instances:    *clusterN,
 		HashReplicas: *hashReps,
 		Route:        *route,
-		RouteSeed:    *seed,
 		Config:       cfg,
 	})
 	topo := "one instance"
@@ -184,8 +165,7 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	if *pprofAddr != "" {
 		// A side listener with its own mux: profiles never share a port
-		// with the job API (daemon mode) and stay reachable while the load
-		// generator hammers the cluster (load mode).
+		// with the job API.
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -199,28 +179,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 		}()
 		fmt.Fprintf(stdout, "scand: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-	}
-
-	if *load {
-		var specs []service.JobSpec
-		switch *mix {
-		case "mixed":
-			// nil = the generator's DefaultMix
-		case "defense":
-			specs = service.DefenseMatrix()
-		default:
-			fmt.Fprintf(stderr, "scand: unknown -mix %q (want mixed or defense)\n", *mix)
-			return 2
-		}
-		if *loadDist != service.DistUniform && *loadDist != service.DistZipfian {
-			fmt.Fprintf(stderr, "scand: unknown -load-dist %q (want uniform or zipfian)\n", *loadDist)
-			return 2
-		}
-		lc := service.LoadConfig{
-			Jobs: *jobs, Concurrency: *concurrency, Victims: *victims,
-			Seed: *seed, Mix: specs, Dist: *loadDist,
-		}
-		return runLoad(c, lc, *mix, topo, *benchOut, stdout, stderr)
 	}
 
 	srv := &http.Server{
@@ -246,40 +204,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	printStats(stdout, c.Stats().Stats)
-	return 0
-}
-
-// runLoad drives the in-process load generator and records the result.
-func runLoad(c *service.Cluster, lc service.LoadConfig, mixName, topo, benchOut string, stdout, stderr *os.File) int {
-	fmt.Fprintf(stdout, "scand: load run — %d jobs, %d submitters, %d victims (%s), %s scenarios, %s\n",
-		lc.Jobs, lc.Concurrency, lc.Victims, lc.Dist, mixName, topo)
-	rep := service.RunLoad(c, lc)
-	c.Drain()
-	rep.Stats = c.Stats().Stats
-	printStats(stdout, rep.Stats)
-	if len(rep.KindLatency) > 0 {
-		kinds := make([]string, 0, len(rep.KindLatency))
-		for k := range rep.KindLatency {
-			kinds = append(kinds, string(k))
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			kl := rep.KindLatency[service.Kind(k)]
-			fmt.Fprintf(stdout, "  %-16s %4d jobs, p50 %.2f ms, p99 %.2f ms\n", k, kl.Jobs, kl.P50Ms, kl.P99Ms)
-		}
-	}
-	fmt.Fprintf(stdout, "wall %.2fs, %d queue-full retries\n", rep.WallSec, rep.Retries)
-	if rep.Stats.Failed > 0 {
-		fmt.Fprintf(stderr, "scand: %d jobs failed\n", rep.Stats.Failed)
-		return 1
-	}
-	if benchOut != "" {
-		if err := service.AppendBench(benchOut, rep); err != nil {
-			fmt.Fprintf(stderr, "scand: recording benchmark: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "recorded load entry in %s\n", benchOut)
-	}
 	return 0
 }
 

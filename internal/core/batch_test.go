@@ -8,7 +8,7 @@ import (
 	"repro/internal/paging"
 )
 
-// ProbeBatch must be bit-identical to the equivalent ProbeMapped loop:
+// probeBatchWindow must be bit-identical to the equivalent ProbeMapped loop:
 // same machine state, same noise draws, same decision values and verdicts,
 // same simulated clock afterwards. Two victims booted from the same seed
 // give two probers in identical post-calibration state; one probes per VA,
@@ -32,7 +32,7 @@ func TestProbeBatchMatchesProbeMapped(t *testing.T) {
 		}
 		gotC := make([]float64, pages)
 		gotF := make([]bool, pages)
-		batch.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, gotC, gotF)
+		batch.probeBatchWindow(false, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, gotC, gotF)
 
 		if !reflect.DeepEqual(wantC, gotC) || !reflect.DeepEqual(wantF, gotF) {
 			t.Fatalf("opt %+v: batched probe output differs from ProbeMapped loop", opt)
@@ -61,7 +61,7 @@ func TestProbeBatchStoreMatchesProbeMappedStore(t *testing.T) {
 	}
 	gotC := make([]float64, pages)
 	gotF := make([]bool, pages)
-	batch.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, gotC, gotF)
+	batch.probeBatchWindow(true, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, gotC, gotF)
 
 	if !reflect.DeepEqual(wantC, gotC) || !reflect.DeepEqual(wantF, gotF) {
 		t.Fatal("batched store probe output differs from ProbeMappedStore loop")
@@ -78,17 +78,17 @@ func TestProbeBatchZeroAllocSteadyState(t *testing.T) {
 	const pages = 256
 	cycles := make([]float64, pages)
 	fast := make([]bool, pages)
-	p.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast) // warm scratch
+	p.probeBatchWindow(false, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast) // warm scratch
 	if n := testing.AllocsPerRun(20, func() {
-		p.ProbeBatch(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
+		p.probeBatchWindow(false, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast)
 	}); n > 0 {
-		t.Errorf("ProbeBatch allocates %.1f/op at steady state, want 0", n)
+		t.Errorf("load probeBatchWindow allocates %.1f/op at steady state, want 0", n)
 	}
-	p.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
+	p.probeBatchWindow(true, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast)
 	if n := testing.AllocsPerRun(20, func() {
-		p.ProbeBatchStore(linux.ModuleRegionBase, pages, paging.Page4K, cycles, fast)
+		p.probeBatchWindow(true, linux.ModuleRegionBase, paging.Page4K, 0, pages, nil, cycles, fast)
 	}); n > 0 {
-		t.Errorf("ProbeBatchStore allocates %.1f/op at steady state, want 0", n)
+		t.Errorf("store probeBatchWindow allocates %.1f/op at steady state, want 0", n)
 	}
 }
 

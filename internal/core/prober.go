@@ -446,33 +446,17 @@ func (p *Prober) ProbeMappedStore(va paging.VirtAddr) ProbeResult {
 	return ProbeResult{VA: va, Cycles: best, Fast: p.StoreThreshold.Classify(best)}
 }
 
-// ProbeBatch probes n pages from start at the given stride with the
-// double-execution page-table attack (P2) — the batched form of a
-// ProbeMapped loop, bit-identical to it for the same machine state and
-// noise stream, with the per-probe overhead (op plumbing, noise-sigma
-// composition, sample reduction setup) amortized across the batch through
-// machine.MeasureBatch. cycles[i] receives page i's decision measurement
-// and fast[i] its threshold verdict; both slices must have length >= n.
-func (p *Prober) ProbeBatch(start paging.VirtAddr, n int, stride uint64, cycles []float64, fast []bool) {
-	p.probeBatchWindow(false, start, stride, 0, n, nil, cycles, fast)
-}
-
-// ProbeBatchStore is ProbeBatch with the masked-store attack (P5/P6):
-// verdicts classify against the store threshold, like ProbeMappedStore.
-func (p *Prober) ProbeBatchStore(start paging.VirtAddr, n int, stride uint64, cycles []float64, fast []bool) {
-	p.probeBatchWindow(true, start, stride, 0, n, nil, cycles, fast)
-}
-
-// probeBatchWindow is the one batched probing primitive under ProbeBatch,
-// ProbeBatchStore and every batched scan-engine chunk: it double-execution
-// probes the non-skipped indices of [lo, hi) (page i at start + i*stride),
-// writing each probed index's decision measurement into cycles[i-lo] and
-// its threshold verdict into fast[i-lo], and returns the window-relative
-// positions probed. Skipped indices consume no probe and no noise, and
-// their window entries are left untouched. The probe sequence per index —
-// one warm-up execution, ProbeSamples measured executions, jitter, then
-// reduction — is exactly ProbeMapped's (ProbeMappedStore's for store), so
-// the batched path is bit-identical to the per-VA one.
+// probeBatchWindow is the one batched probing primitive under every
+// batched scan-engine chunk: it double-execution probes the non-skipped
+// indices of [lo, hi) (page i at start + i*stride), writing each probed
+// index's decision measurement into cycles[i-lo] and its threshold verdict
+// into fast[i-lo] (the store threshold when store is set), and returns the
+// window-relative positions probed. Skipped indices consume no probe and
+// no noise, and their window entries are left untouched. The probe
+// sequence per index — one warm-up execution, ProbeSamples measured
+// executions, jitter, then reduction — is exactly ProbeMapped's
+// (ProbeMappedStore's for store), so the batched path is bit-identical to
+// the per-VA one.
 func (p *Prober) probeBatchWindow(store bool, start paging.VirtAddr, stride uint64, lo, hi int,
 	skip func(int) bool, cycles []float64, fast []bool) []int {
 	n := hi - lo

@@ -38,10 +38,10 @@
 // one Probe call per index: the engine hands it the chunk's index range
 // and the preallocated per-shard windows of the shared result slices, and
 // the worker writes verdicts and measurements straight into them. The core
-// workers feed such chunks to Prober.ProbeBatch, which turns the chunk
-// into one masked-op slice for machine.MeasureBatch — the double-execution
-// sequence per VA is unchanged (warm-up, measured runs, noise, reduction),
-// but op plumbing, noise-sigma composition and reduction setup are paid
+// workers feed such chunks to the prober's batched probe, which turns the
+// chunk into one masked-op slice for machine.MeasureBatch — the
+// double-execution sequence per VA is unchanged (warm-up, measured runs,
+// noise, reduction), but op plumbing, noise-sigma composition and reduction setup are paid
 // once per chunk instead of once per sample, and all scratch lives on the
 // (pooled) prober, so a steady-state batched sweep allocates nothing per
 // probe and scan cost stops growing with the worker count. Batched and

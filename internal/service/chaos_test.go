@@ -143,7 +143,7 @@ func runChaosTrace(t *testing.T, cfg Config, specs []JobSpec) ([]jobTrace, [6]ui
 	for _, site := range fault.Sites() {
 		fired[site] = s.inj.Fired(site)
 	}
-	_, _, quarantined := s.cache.stats()
+	quarantined := s.cache.snapshot().Quarantined
 	s.Drain()
 	return traces, fired, quarantined
 }
@@ -465,21 +465,22 @@ func TestQuarantineNeverReadopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, reused, err := cache.acquire(spec)
+	s1, reused, err := cache.acquire(spec, nil)
 	if err != nil || reused {
 		t.Fatalf("first acquire: reused=%v err=%v", reused, err)
 	}
 	cache.quarantine(s1)
 	cache.quarantine(s1) // counted once
 	cache.release(s1)
-	s2, reused, err := cache.acquire(spec)
+	s2, reused, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused || s2 == s1 {
 		t.Fatal("quarantined session was re-adopted")
 	}
-	made, _, quarantined := cache.stats()
+	cs := cache.snapshot()
+	made, quarantined := cs.SessionMisses, cs.Quarantined
 	if made != 2 || quarantined != 1 {
 		t.Fatalf("made=%d quarantined=%d, want 2/1", made, quarantined)
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -251,31 +250,27 @@ type ClusterStats struct {
 	Instances []InstanceStats `json:"instances"`
 }
 
-// Stats computes the cluster rollup.
+// Stats computes the cluster rollup: the instances' raw store counters
+// and latency histograms merged and run through the same formula as a
+// single store, plus the summed cache, pool and fault counters.
 func (c *Cluster) Stats() ClusterStats {
 	var out ClusterStats
+	var agg storeAgg
 	lat := &obs.Histogram{}
-	var first, last time.Time
-	var finished, correct, completed int
 	for i, s := range c.insts {
 		ist := s.Stats() // evicts TTL-expired jobs before the snapshot below
-		agg := s.store.aggregate()
+		agg.add(s.store.aggregate())
+		lat.AddFrom(s.store.latencyHistogram())
 		out.Instances = append(out.Instances, InstanceStats{
 			Instance:   i,
 			Routed:     c.routed[i].Load(),
 			QueueDepth: s.QueueDepth(),
 			Stats:      ist,
 		})
-		out.Submitted += agg.submitted
-		out.Completed += agg.completed
-		out.Failed += agg.failed
-		out.Rejected += agg.rejected
-		out.Retries += agg.retries
-		out.Shed += agg.shedded
-		out.Evicted += agg.evicted
-		out.Retained += agg.retained
-		out.StreamDropped += agg.dropped
-		out.SimAttackerSec += agg.simSec
+	}
+	out.Stats = agg.stats(lat)
+	for _, row := range out.Instances {
+		ist := row.Stats
 		out.Sessions += ist.Sessions
 		out.SessionHits += ist.SessionHits
 		out.CalibrationsReused += ist.CalibrationsReused
@@ -283,45 +278,6 @@ func (c *Cluster) Stats() ClusterStats {
 		out.SessionsEvicted += ist.SessionsEvicted
 		out.PoolReplicas += ist.PoolReplicas
 		out.FaultsInjected += ist.FaultsInjected
-		correct += agg.correct
-		completed += agg.completed
-		finished += agg.completed + agg.failed
-		if !agg.firstSub.IsZero() && (first.IsZero() || agg.firstSub.Before(first)) {
-			first = agg.firstSub
-		}
-		if agg.lastDone.After(last) {
-			last = agg.lastDone
-		}
-		lat.AddFrom(s.store.latencyHistogram())
-	}
-	if completed > 0 {
-		out.SuccessRate = float64(correct) / float64(completed)
-	}
-	if finished > 0 && last.After(first) {
-		out.JobsPerSec = float64(finished) / last.Sub(first).Seconds()
-	}
-	out.P50Ms = float64(lat.Quantile(0.50)) / 1e6
-	out.P99Ms = float64(lat.Quantile(0.99)) / 1e6
-	return out
-}
-
-// KindLatencies merges the per-kind latency histograms across instances
-// (AddFrom into a scratch histogram per kind; instance histograms keep
-// recording).
-func (c *Cluster) KindLatencies() map[Kind]KindLatency {
-	out := make(map[Kind]KindLatency)
-	for _, k := range Kinds() {
-		merged := &obs.Histogram{}
-		for _, s := range c.insts {
-			merged.AddFrom(s.store.kindLatencyHistogram(k))
-		}
-		if n := merged.Count(); n > 0 {
-			out[k] = KindLatency{
-				Jobs:  n,
-				P50Ms: float64(merged.Quantile(0.50)) / 1e6,
-				P99Ms: float64(merged.Quantile(0.99)) / 1e6,
-			}
-		}
 	}
 	return out
 }

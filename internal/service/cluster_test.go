@@ -216,17 +216,10 @@ func TestClusterTemporalAffinityWindows(t *testing.T) {
 // beat shuffled round-robin on cache hit rate — the same victim's jobs
 // land on one warm instance instead of cold-booting on all four.
 func TestClusterAffinityBeatsShuffledRoundRobin(t *testing.T) {
-	load := LoadConfig{
-		Jobs:        64,
-		Concurrency: 4,
-		Victims:     8,
-		Seed:        1,
-		Dist:        DistZipfian,
-		Mix: []JobSpec{
-			{Kind: KindKernelBase, CPU: "12400F"},
-			{Kind: KindKPTI, CPU: "12400F"},
-		},
-	}
+	specs := mixSpecs([]JobSpec{
+		{Kind: KindKernelBase, CPU: "12400F"},
+		{Kind: KindKPTI, CPU: "12400F"},
+	}, 1, victimAssignment(1, 64, 8, true))
 	run := func(route string) Stats {
 		c := NewCluster(ClusterConfig{
 			Instances: 4,
@@ -234,12 +227,13 @@ func TestClusterAffinityBeatsShuffledRoundRobin(t *testing.T) {
 			RouteSeed: 99,
 			Config:    Config{Executors: 1, QueueDepth: 256},
 		})
-		rep := RunLoad(c, load)
+		drive(t, c, specs, 4)
 		c.Drain()
-		if rep.Stats.Failed > 0 || rep.SubmitErrors > 0 {
-			t.Fatalf("route=%s: %d failed, %d submit errors", route, rep.Stats.Failed, rep.SubmitErrors)
+		st := c.Stats().Stats
+		if st.Failed > 0 {
+			t.Fatalf("route=%s: %d failed", route, st.Failed)
 		}
-		return c.Stats().Stats
+		return st
 	}
 	hash := run(RouteHash)
 	shuffle := run(RouteShuffle)
@@ -367,7 +361,7 @@ func TestClusterPartialFailureIsolation(t *testing.T) {
 
 // The cluster rollup must account exactly: merged counters equal the sum
 // of per-instance counters, routed counts equal accepted submissions, and
-// the merged latency/kind views carry every job.
+// the merged latency view carries every job.
 func TestClusterStatsRollup(t *testing.T) {
 	c := NewCluster(ClusterConfig{Instances: 3, Config: Config{Executors: 1}})
 	defer c.Drain()
@@ -418,14 +412,6 @@ func TestClusterStatsRollup(t *testing.T) {
 	}
 	if st.JobsPerSec <= 0 || st.P50Ms <= 0 || st.P99Ms < st.P50Ms {
 		t.Fatalf("merged latency view implausible: jobs/s=%v p50=%v p99=%v", st.JobsPerSec, st.P50Ms, st.P99Ms)
-	}
-	kl := c.KindLatencies()
-	var kindJobs int
-	for _, v := range kl {
-		kindJobs += int(v.Jobs)
-	}
-	if kindJobs != len(jobs) {
-		t.Fatalf("merged kind latencies carry %d jobs, want %d", kindJobs, len(jobs))
 	}
 }
 
@@ -541,23 +527,23 @@ func TestHTTPClusterEndpoints(t *testing.T) {
 // (interleaving-independent by construction) and actually skewed: the
 // hottest victim draws a multiple of the coldest's share.
 func TestZipfianAssignmentDeterministicAndSkewed(t *testing.T) {
-	cfg := LoadConfig{Jobs: 1000, Victims: 8, Seed: 5, Dist: DistZipfian}
-	a := victimAssignment(cfg)
-	b := victimAssignment(cfg)
+	const victims = 8
+	a := victimAssignment(5, 1000, victims, true)
+	b := victimAssignment(5, 1000, victims, true)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("zipfian assignment differs across calls with one config")
 	}
-	counts := make([]int, cfg.Victims)
+	counts := make([]int, victims)
 	for _, v := range a {
-		if v < 0 || v >= cfg.Victims {
+		if v < 0 || v >= victims {
 			t.Fatalf("victim index %d out of pool range", v)
 		}
 		counts[v]++
 	}
-	if counts[0] < 3*counts[cfg.Victims-1] {
-		t.Fatalf("distribution not zipfian: hottest %d vs coldest %d (%v)", counts[0], counts[cfg.Victims-1], counts)
+	if counts[0] < 3*counts[victims-1] {
+		t.Fatalf("distribution not zipfian: hottest %d vs coldest %d (%v)", counts[0], counts[victims-1], counts)
 	}
-	uni := victimAssignment(LoadConfig{Jobs: 10, Victims: 4, Dist: DistUniform})
+	uni := victimAssignment(1, 10, 4, false)
 	for i, v := range uni {
 		if v != i%4 {
 			t.Fatalf("uniform assignment[%d] = %d, want %d", i, v, i%4)

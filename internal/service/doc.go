@@ -100,15 +100,14 @@
 //     cluster serves untouched, and identical seeds reproduce identical
 //     per-instance traces.
 //   - One rollup. Cluster.Stats() merges raw counters across instances
-//     and recomputes the rates (latency quantiles via the mergeable
-//     obs.Histogram.AddFrom, jobs/s over the global first-submit →
-//     last-finish span), keeping per-instance rows — queue depth, routed
+//     and recomputes the rates with the same formula a single store uses
+//     (latency quantiles via the mergeable obs.Histogram.AddFrom, jobs/s
+//     over the global first-submit → last-finish span), keeping per-instance rows — queue depth, routed
 //     counts, cache hit/miss/evict — visible. Cluster.Metrics() is one
 //     registry: every instance registers its full metrics plane on it,
 //     with instance="i" as the first label when N > 1, next to the
 //     router's own series.
-//   - One surface. NewHandler, RunLoad and cmd/scand serve only a
-//     Cluster. A one-instance cluster is exactly New(Config): the same
+//   - One surface. NewHandler and cmd/scand serve only a Cluster. A one-instance cluster is exactly New(Config): the same
 //     job IDs, the same fault seed (no per-instance split) and unlabeled
 //     series, so the single-scheduler daemon is the N = 1 case, not a
 //     second code path.
@@ -156,16 +155,16 @@
 // them; `make ci-chaos` runs the whole matrix under -race). A disabled
 // injector is a nil pointer: the production hot path pays one nil test.
 //
-// The result store streams completed jobs to subscribers and aggregates
-// the service-level metrics (success rate, jobs/s, p50/p99 host latency,
+// The result store owns every accepted job and aggregates the
+// service-level metrics (success rate, jobs/s, p50/p99 host latency,
 // total simulated attacker time). Retention is bounded (StoreConfig:
 // max-jobs cap plus optional finished-job TTL): only finished jobs are
 // evicted — in-flight jobs are pinned so drains always complete — and the
 // aggregates live in counters and fixed-bucket histograms (internal/obs)
 // that survive eviction, so a long-lived scand serves unbounded traffic in
 // bounded memory with O(buckets) stats scrapes. cmd/scand exposes a
-// Cluster over HTTP and doubles as the load generator that records
-// sustained-throughput entries in BENCH_scan.json.
+// Cluster over HTTP; its end-to-end throughput and latency are measured
+// over that API by the scandbench module.
 //
 // # Observability contract
 //

@@ -228,7 +228,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // by back-dating its submission.
 func completeTimed(st *Store, j *Job, lat time.Duration) {
 	j.Submitted = time.Now().Add(-lat)
-	st.complete(j, &Result{Kind: j.Spec.Kind, Correct: true, TotalSimSec: 1}, nil)
+	st.complete(j, &Result{Kind: j.Spec.Kind, Correct: true, TotalSimSec: 1}, nil, 1)
 }
 
 // Store.Stats under eviction churn: the latency quantiles and aggregate
@@ -327,36 +327,6 @@ func TestStoreStatsConcurrentWithTTLChurn(t *testing.T) {
 	}
 	if s.Retained > 8 {
 		t.Fatalf("retained %d over MaxJobs 8", s.Retained)
-	}
-}
-
-// The per-kind breakdown separates populations the aggregate blends.
-func TestKindLatencies(t *testing.T) {
-	st := NewStore()
-	for id := uint64(1); id <= 20; id++ {
-		j := fakeJob(st, id)
-		if id%2 == 0 {
-			j.Spec.Kind = KindKernelBase
-			completeTimed(st, j, 10*time.Millisecond)
-		} else {
-			j.Spec.Kind = KindCloud
-			completeTimed(st, j, 200*time.Millisecond)
-		}
-	}
-	kl := st.KindLatencies()
-	kb, ok1 := kl[KindKernelBase]
-	cl, ok2 := kl[KindCloud]
-	if !ok1 || !ok2 {
-		t.Fatalf("missing kinds in breakdown: %+v", kl)
-	}
-	if kb.Jobs != 10 || cl.Jobs != 10 {
-		t.Fatalf("per-kind counts: %+v", kl)
-	}
-	if kb.P50Ms < 10 || kb.P50Ms > 12 || cl.P50Ms < 200 || cl.P50Ms > 230 {
-		t.Fatalf("per-kind quantiles blended: kernelbase %+v cloud %+v", kb, cl)
-	}
-	if _, ok := kl[KindWindows]; ok {
-		t.Fatal("kind with no jobs must not appear")
 	}
 }
 

@@ -191,8 +191,8 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Store exposes the scheduler's result store (status, results, streams,
-// aggregate stats).
+// Store exposes the scheduler's result store (status, results, aggregate
+// stats).
 func (s *Scheduler) Store() *Store { return s.store }
 
 // Config returns the scheduler's normalized configuration.
@@ -407,7 +407,7 @@ func (s *Scheduler) runJob(j *Job) {
 		root.Annotate("attempts", strconv.Itoa(attempt))
 		root.End()
 	}
-	s.store.completeAttempts(j, res, err, attempt)
+	s.store.complete(j, res, err, attempt)
 }
 
 // traceAttrs builds the root span's annotations from the normalized spec:
@@ -537,7 +537,7 @@ func (s *Scheduler) attemptBody(j *Job, opt core.Options, env *attemptEnv) (res 
 		acq := env.span.Child("acquire")
 		t0 := time.Now()
 		var reused bool
-		sess, reused, err = s.cache.acquireHook(j.Spec, env.hook())
+		sess, reused, err = s.cache.acquire(j.Spec, env.hook())
 		s.met.acquire.Observe(uint64(time.Since(t0)))
 		if err != nil {
 			annotateFailure(acq, err)

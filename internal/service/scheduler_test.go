@@ -1,9 +1,6 @@
 package service
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // cheapMix is a load mix of the fast kinds (for race-detector runs).
 func cheapMix() []JobSpec {
@@ -15,18 +12,19 @@ func cheapMix() []JobSpec {
 	}
 }
 
-// The load harness must sustain a deep concurrent mixed workload — ≥64
+// The service must sustain a deep concurrent mixed workload — ≥64
 // concurrent submitters against pooled sessions and shared scan replicas —
 // with every job accounted for. Run under -race (make test-race / make ci)
 // this is the service's data-race gate.
 func TestLoadConcurrentMixedWorkload(t *testing.T) {
 	s := NewCluster(ClusterConfig{Config: Config{Executors: 8, QueueDepth: 32, ScanWorkers: 2}})
-	rep := RunLoad(s, LoadConfig{Jobs: 96, Concurrency: 64, Seed: 100, Mix: cheapMix()})
+	const jobs = 96
+	drive(t, s, mixSpecs(cheapMix(), 100, victimAssignment(100, jobs, 16, false)), 64)
 	s.Drain()
 
 	st := s.Stats()
-	if st.Completed+st.Failed != rep.Jobs {
-		t.Fatalf("accounted %d+%d jobs, want %d", st.Completed, st.Failed, rep.Jobs)
+	if st.Completed+st.Failed != jobs {
+		t.Fatalf("accounted %d+%d jobs, want %d", st.Completed, st.Failed, jobs)
 	}
 	if st.Failed != 0 {
 		t.Fatalf("%d jobs failed", st.Failed)
@@ -45,8 +43,8 @@ func TestLoadConcurrentMixedWorkload(t *testing.T) {
 	if st.PoolReplicas == 0 {
 		t.Fatal("shared scan pool was never used")
 	}
-	if st.Sessions >= rep.Jobs {
-		t.Fatalf("built %d sessions for %d jobs — session reuse broken", st.Sessions, rep.Jobs)
+	if st.Sessions >= jobs {
+		t.Fatalf("built %d sessions for %d jobs — session reuse broken", st.Sessions, jobs)
 	}
 }
 
@@ -112,47 +110,5 @@ func TestSubmitValidation(t *testing.T) {
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v was accepted", spec)
 		}
-	}
-}
-
-// The store must stream completions to subscribers without ever blocking
-// the executors.
-func TestStoreStreamsCompletions(t *testing.T) {
-	s := New(Config{Executors: 2})
-	stream, cancel := s.Store().Subscribe(32)
-	defer cancel()
-	const n = 6
-	for i := 0; i < n; i++ {
-		if _, err := s.Submit(JobSpec{Kind: KindKernelBase, CPU: "12400F", Seed: uint64(400 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := make(map[uint64]bool)
-	timeout := time.After(30 * time.Second)
-	for len(seen) < n {
-		select {
-		case j := <-stream:
-			if j.Result == nil {
-				t.Fatalf("streamed job %d has no result", j.ID)
-			}
-			seen[j.ID] = true
-		case <-timeout:
-			t.Fatalf("stream delivered %d/%d completions", len(seen), n)
-		}
-	}
-	s.Drain()
-}
-
-// AppendBench must write a BENCH_scan.json-schema line.
-func TestAppendBenchWritesEntry(t *testing.T) {
-	s := NewCluster(ClusterConfig{Config: Config{Executors: 2}})
-	rep := RunLoad(s, LoadConfig{Jobs: 4, Concurrency: 2, Seed: 500, Mix: cheapMix()[:1]})
-	s.Drain()
-	path := t.TempDir() + "/bench.json"
-	if err := AppendBench(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBench(path, rep); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -246,12 +246,12 @@ func TestCalibrationCacheSkipsCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, reused1, err := cache.acquire(spec)
+	s1, reused1, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second acquire without releasing the first: same key, fresh boot.
-	s2, reused2, err := cache.acquire(spec)
+	s2, reused2, err := cache.acquire(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,8 @@ func TestCalibrationCacheSkipsCalibrate(t *testing.T) {
 		s1.p.StoreThreshold.Cycles != s2.p.StoreThreshold.Cycles {
 		t.Fatal("cached-calibration prober thresholds differ")
 	}
-	made, hits, _ := cache.stats()
+	cs := cache.snapshot()
+	made, hits := cs.SessionMisses, cs.CalibrationHits
 	if made != 2 || hits != 1 {
 		t.Fatalf("stats: made=%d calHits=%d, want 2/1", made, hits)
 	}

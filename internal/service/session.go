@@ -96,16 +96,11 @@ func newSessionCache(max int) *sessionCache {
 // acquire returns a session for the spec's victim, reusing an idle one
 // when available and building (boot + calibrate-or-replay) otherwise. The
 // returned flag reports reuse. Callers must release the session after the
-// job.
-func (c *sessionCache) acquire(spec JobSpec) (*session, bool, error) {
-	return c.acquireHook(spec, nil)
-}
-
-// acquireHook is acquire with a fault hook installed for the build phase:
-// boot and calibration faults fire through it on cache misses (cache hits
-// build nothing, so they draw nothing — the documented cache-dependence of
-// the boot/calibrate sites).
-func (c *sessionCache) acquireHook(spec JobSpec, hook func(op string) error) (*session, bool, error) {
+// job. A non-nil hook is installed for the build phase: boot and
+// calibration faults fire through it on cache misses (cache hits build
+// nothing, so they draw nothing — the documented cache-dependence of the
+// boot/calibrate sites).
+func (c *sessionCache) acquire(spec JobSpec, hook func(op string) error) (*session, bool, error) {
 	key := spec.victimKey()
 	c.mu.Lock()
 	if list := c.free[key]; len(list) > 0 {
@@ -122,7 +117,7 @@ func (c *sessionCache) acquireHook(spec JobSpec, hook func(op string) error) (*s
 
 	// Boot outside the lock: victim construction is the expensive part and
 	// concurrent executors must not serialize on it.
-	s, err := buildSessionHook(spec, cal, haveCal, hook)
+	s, err := buildSession(spec, cal, haveCal, hook)
 	if err != nil {
 		return nil, false, err
 	}
@@ -173,14 +168,6 @@ func (c *sessionCache) quarantine(s *session) {
 	c.mu.Unlock()
 }
 
-// stats returns (sessions built, calibrations skipped, sessions
-// quarantined).
-func (c *sessionCache) stats() (made, calHits, quarantined int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.made, c.calHits, c.quarantined
-}
-
 // cacheStats is the full session/calibration-cache effectiveness snapshot:
 // the hit/miss/evict counters the per-instance /metrics series and /stats
 // expose (a session hit reuses a parked session wholesale; a calibration
@@ -199,19 +186,6 @@ type cacheStats struct {
 	// sessions dropped at the idle cap.
 	Quarantined int
 	Evicted     int
-}
-
-// hitRate returns the combined session+calibration hit rate: the fraction
-// of session acquisitions that avoided a full boot-and-calibrate (reused a
-// session, or booted but replayed a cached calibration). This is the
-// affinity figure of merit: consistent-hash routing keeps one victim's
-// jobs on one instance, so its sessions and calibrations stay hot.
-func (cs cacheStats) hitRate() float64 {
-	total := cs.SessionHits + cs.SessionMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(cs.SessionHits+cs.CalibrationHits) / float64(total)
 }
 
 // snapshot returns the cache's full effectiveness counters.
@@ -233,16 +207,13 @@ func (c *sessionCache) snapshot() cacheStats {
 // otherwise. The construction sequence per victim class is exactly the
 // direct-call recipe (cmd/avxattack, the examples), which is what makes
 // service results bit-identical to direct core calls.
-func buildSession(spec JobSpec, cal core.Calibration, haveCal bool) (*session, error) {
-	return buildSessionHook(spec, cal, haveCal, nil)
-}
-
-// buildSessionHook is buildSession with a fault hook installed on the
-// machine for the build's duration: the boot site fires right after
-// machine construction and the calibrate site inside core.Calibrate. The
-// hook is cleared before the session is returned — parked sessions carry
-// no hook; job attempts install their own.
-func buildSessionHook(spec JobSpec, cal core.Calibration, haveCal bool, hook func(op string) error) (*session, error) {
+//
+// A non-nil hook is installed on the machine for the build's duration: the
+// boot site fires right after machine construction and the calibrate site
+// inside core.Calibrate. The hook is cleared before the session is
+// returned — parked sessions carry no hook; job attempts install their
+// own.
+func buildSession(spec JobSpec, cal core.Calibration, haveCal bool, hook func(op string) error) (*session, error) {
 	preset := uarch.ByName(spec.CPU)
 	if preset == nil {
 		return nil, fmt.Errorf("service: no CPU preset matches %q", spec.CPU)

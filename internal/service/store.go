@@ -34,9 +34,9 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	return c
 }
 
-// Store is the streaming result store: it owns every job the scheduler has
-// accepted (up to the configured retention bound), streams completions to
-// subscribers, and aggregates the service-level metrics.
+// Store is the result store: it owns every job the scheduler has accepted
+// (up to the configured retention bound) and aggregates the service-level
+// metrics.
 type Store struct {
 	mu   sync.Mutex
 	cfg  StoreConfig
@@ -61,28 +61,22 @@ type Store struct {
 	kindDone    map[Kind]uint64
 	defenseDone map[string]uint64
 	firstSub    time.Time
-	lastDone  time.Time
-	completed int
-	failed    int
-	correct   int
-	rejected  int
-	retries   int
-	shedded   int
-	simSec    float64
-	subs      map[int]chan *Job
-	nextSub   int
-	dropped   int
+	lastDone    time.Time
+	completed   int
+	failed      int
+	correct     int
+	rejected    int
+	retries     int
+	shedded     int
+	simSec      float64
 }
 
-// NewStore creates an empty store with the default retention bound.
-func NewStore() *Store { return NewBoundedStore(StoreConfig{}) }
-
-// NewBoundedStore creates an empty store with explicit retention bounds.
+// NewBoundedStore creates an empty store with explicit retention bounds
+// (the zero StoreConfig is the default bound).
 func NewBoundedStore(cfg StoreConfig) *Store {
 	st := &Store{
 		cfg:         cfg.withDefaults(),
 		jobs:        make(map[uint64]*Job),
-		subs:        make(map[int]chan *Job),
 		lat:         &obs.Histogram{},
 		kindLat:     make(map[Kind]*obs.Histogram, len(Kinds())),
 		kindDone:    make(map[Kind]uint64, len(Kinds())),
@@ -173,18 +167,12 @@ func (st *Store) setProvenance(j *Job, reusedSession, reusedCalibration bool) {
 	st.mu.Unlock()
 }
 
-// complete finishes a job (result or error), updates the aggregates and
-// streams the job to subscribers.
-func (st *Store) complete(j *Job, res *Result, err error) {
-	st.completeAttempts(j, res, err, 1)
-}
-
-// completeAttempts is complete with the scheduler's per-job attempt
-// accounting: retried jobs record their attempt count and failed jobs
-// their error class. Single-attempt successes record neither, keeping the
-// zero-fault job JSON (and the parity suites' DeepEqual references)
-// bit-identical to the pre-fault-injection service.
-func (st *Store) completeAttempts(j *Job, res *Result, err error, attempts int) {
+// complete finishes a job (result or error) after the given number of
+// attempts and updates the aggregates. Retried jobs record their attempt
+// count and failed jobs their error class; single-attempt successes record
+// neither, keeping the zero-fault job JSON (and the parity suites'
+// DeepEqual references) bit-identical to the pre-fault-injection service.
+func (st *Store) complete(j *Job, res *Result, err error, attempts int) {
 	st.mu.Lock()
 	j.Finished = time.Now()
 	if attempts > 1 {
@@ -219,13 +207,6 @@ func (st *Store) completeAttempts(j *Job, res *Result, err error, attempts int) 
 	}
 	st.finished = append(st.finished, j.ID)
 	st.evictLocked(j.Finished)
-	for _, ch := range st.subs {
-		select {
-		case ch <- j:
-		default:
-			st.dropped++ // a slow subscriber never stalls the executors
-		}
-	}
 	st.mu.Unlock()
 	close(j.done)
 }
@@ -248,26 +229,6 @@ func (st *Store) Snapshot(id uint64) (Job, bool) {
 		return Job{}, false
 	}
 	return *j, true
-}
-
-// Subscribe registers a completion stream with the given buffer.
-// Completions arriving while the buffer is full are dropped for that
-// subscriber (counted in Stats.StreamDropped). cancel unregisters.
-func (st *Store) Subscribe(buf int) (stream <-chan *Job, cancel func()) {
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan *Job, buf)
-	st.mu.Lock()
-	id := st.nextSub
-	st.nextSub++
-	st.subs[id] = ch
-	st.mu.Unlock()
-	return ch, func() {
-		st.mu.Lock()
-		delete(st.subs, id)
-		st.mu.Unlock()
-	}
 }
 
 // Stats is the aggregate service view.
@@ -293,7 +254,6 @@ type Stats struct {
 	Sessions           int `json:"sessions"`
 	CalibrationsReused int `json:"calibrations_reused"`
 	PoolReplicas       int `json:"pool_replicas"`
-	StreamDropped      int `json:"stream_dropped,omitempty"`
 	// Evicted counts finished jobs dropped by the retention policy; their
 	// contribution to the aggregates above is retained.
 	Evicted int `json:"evicted,omitempty"`
@@ -339,30 +299,9 @@ func (s Stats) CacheHitRate() float64 {
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	st.evictLocked(time.Now())
-	s := Stats{
-		Submitted:      st.submitted,
-		Completed:      st.completed,
-		Failed:         st.failed,
-		Rejected:       st.rejected,
-		Retries:        st.retries,
-		Shed:           st.shedded,
-		SimAttackerSec: st.simSec,
-		StreamDropped:  st.dropped,
-		Evicted:        st.evicted,
-		Retained:       len(st.jobs),
-	}
-	if st.completed > 0 {
-		s.SuccessRate = float64(st.correct) / float64(st.completed)
-	}
-	finished := st.completed + st.failed
-	if finished > 0 && st.lastDone.After(st.firstSub) {
-		s.JobsPerSec = float64(finished) / st.lastDone.Sub(st.firstSub).Seconds()
-	}
+	agg := st.aggregateLocked()
 	st.mu.Unlock()
-
-	s.P50Ms = float64(st.lat.Quantile(0.50)) / 1e6
-	s.P99Ms = float64(st.lat.Quantile(0.99)) / 1e6
-	return s
+	return agg.stats(st.lat)
 }
 
 // storeAgg is one store's raw counter snapshot — the mergeable form a
@@ -371,7 +310,7 @@ func (st *Store) Stats() Stats {
 type storeAgg struct {
 	submitted, completed, failed, correct int
 	rejected, retries, shedded, evicted   int
-	dropped, retained                     int
+	retained                              int
 	simSec                                float64
 	firstSub, lastDone                    time.Time
 }
@@ -380,6 +319,10 @@ type storeAgg struct {
 func (st *Store) aggregate() storeAgg {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.aggregateLocked()
+}
+
+func (st *Store) aggregateLocked() storeAgg {
 	return storeAgg{
 		submitted: st.submitted,
 		completed: st.completed,
@@ -389,7 +332,6 @@ func (st *Store) aggregate() storeAgg {
 		retries:   st.retries,
 		shedded:   st.shedded,
 		evicted:   st.evicted,
-		dropped:   st.dropped,
 		retained:  len(st.jobs),
 		simSec:    st.simSec,
 		firstSub:  st.firstSub,
@@ -397,27 +339,51 @@ func (st *Store) aggregate() storeAgg {
 	}
 }
 
-// KindLatency is one kind's end-to-end latency summary.
-type KindLatency struct {
-	Jobs  uint64  `json:"jobs"`
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
+// add merges another store's counters into a: counters sum, and the wall
+// span widens to the earliest first submit and the latest finish.
+func (a *storeAgg) add(b storeAgg) {
+	a.submitted += b.submitted
+	a.completed += b.completed
+	a.failed += b.failed
+	a.correct += b.correct
+	a.rejected += b.rejected
+	a.retries += b.retries
+	a.shedded += b.shedded
+	a.evicted += b.evicted
+	a.retained += b.retained
+	a.simSec += b.simSec
+	if !b.firstSub.IsZero() && (a.firstSub.IsZero() || b.firstSub.Before(a.firstSub)) {
+		a.firstSub = b.firstSub
+	}
+	if b.lastDone.After(a.lastDone) {
+		a.lastDone = b.lastDone
+	}
 }
 
-// KindLatencies returns the per-kind latency breakdown for every kind that
-// finished at least one job (the `scand -load` report's per-kind rows).
-func (st *Store) KindLatencies() map[Kind]KindLatency {
-	out := make(map[Kind]KindLatency)
-	for k, h := range st.kindLat {
-		if n := h.Count(); n > 0 {
-			out[k] = KindLatency{
-				Jobs:  n,
-				P50Ms: float64(h.Quantile(0.50)) / 1e6,
-				P99Ms: float64(h.Quantile(0.99)) / 1e6,
-			}
-		}
+// stats is the one formula behind Store.Stats and Cluster.Stats: the raw
+// counters, success rate (correct/completed), jobs/s over the first-submit
+// → last-finish span, and p50/p99 from the latency histogram lat.
+func (a storeAgg) stats(lat *obs.Histogram) Stats {
+	s := Stats{
+		Submitted:      a.submitted,
+		Completed:      a.completed,
+		Failed:         a.failed,
+		Rejected:       a.rejected,
+		Retries:        a.retries,
+		Shed:           a.shedded,
+		SimAttackerSec: a.simSec,
+		Evicted:        a.evicted,
+		Retained:       a.retained,
 	}
-	return out
+	if a.completed > 0 {
+		s.SuccessRate = float64(a.correct) / float64(a.completed)
+	}
+	if finished := a.completed + a.failed; finished > 0 && a.lastDone.After(a.firstSub) {
+		s.JobsPerSec = float64(finished) / a.lastDone.Sub(a.firstSub).Seconds()
+	}
+	s.P50Ms = float64(lat.Quantile(0.50)) / 1e6
+	s.P99Ms = float64(lat.Quantile(0.99)) / 1e6
+	return s
 }
 
 // latencyHistogram exposes the store's all-time latency histogram for

@@ -179,35 +179,6 @@ func TestPerJobScanWorkersOverride(t *testing.T) {
 	}
 }
 
-// Temporal kinds must run inside the mixed load workload (the -load mix
-// includes them) with full success.
-func TestLoadMixIncludesTemporalKinds(t *testing.T) {
-	mix := DefaultMix()
-	haveSpy, haveFP := false, false
-	for _, spec := range mix {
-		switch spec.Kind {
-		case KindBehaviorSpy:
-			haveSpy = true
-		case KindAppFingerprint:
-			haveFP = true
-		}
-	}
-	if !haveSpy || !haveFP {
-		t.Fatalf("DefaultMix lacks temporal kinds (spy=%v, fingerprint=%v)", haveSpy, haveFP)
-	}
-
-	s := NewCluster(ClusterConfig{Config: Config{Executors: 4, ScanWorkers: 2, QueueDepth: 16}})
-	rep := RunLoad(s, LoadConfig{Jobs: 2 * len(mix), Concurrency: 4, Victims: 3, Seed: 11})
-	s.Drain()
-	st := s.Stats()
-	if st.Failed > 0 {
-		t.Fatalf("%d mixed-load jobs failed", st.Failed)
-	}
-	if st.Completed != rep.Jobs {
-		t.Fatalf("completed %d of %d", st.Completed, rep.Jobs)
-	}
-}
-
 // fakeJob builds a store-registered job in the given state for the
 // retention tests.
 func fakeJob(st *Store, id uint64) *Job {
@@ -228,7 +199,7 @@ func TestStoreEvictsOldestFinished(t *testing.T) {
 	for id := uint64(2); id <= 6; id++ {
 		j := fakeJob(st, id)
 		st.markRunning(j)
-		st.complete(j, &Result{Correct: true}, nil)
+		st.complete(j, &Result{Correct: true}, nil, 1)
 		finished = append(finished, j)
 	}
 
@@ -265,7 +236,7 @@ func TestStoreTTLEviction(t *testing.T) {
 	st := NewBoundedStore(StoreConfig{MaxJobs: -1, TTL: 1})
 	j := fakeJob(st, 1)
 	st.markRunning(j)
-	st.complete(j, &Result{Correct: true}, nil)
+	st.complete(j, &Result{Correct: true}, nil, 1)
 	q := fakeJob(st, 2) // still queued: immune
 
 	// Any Finished timestamp is already older than a 1 ns TTL by the time
@@ -400,7 +371,7 @@ func TestSnapshotMutateRestoreRerunPerKind(t *testing.T) {
 // buildSessionForTest builds a session without the cache (no cached
 // calibration).
 func buildSessionForTest(spec JobSpec) (*session, bool, error) {
-	s, err := buildSession(spec, core.Calibration{}, false)
+	s, err := buildSession(spec, core.Calibration{}, false, nil)
 	return s, false, err
 }
 

@@ -28,7 +28,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-pattern="${1:-BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkProbeBatch|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix}"
+pattern="${1:-BenchmarkScan|BenchmarkUserScan|BenchmarkTermSweep|BenchmarkExecMasked|BenchmarkProbeMapped|BenchmarkBehaviorSpy|BenchmarkDefenseMatrix}"
 out="BENCH_scan.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

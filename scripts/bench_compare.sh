@@ -40,10 +40,11 @@ want_gmp="$(jfield "$latest" gomaxprocs)"
 
 # Most recent earlier entry with the same host shape AND at least one
 # benchmark name in common with the latest entry. Name matching matters
-# now that `make load` appends both a LoadMixed and a LoadCluster row per
-# run: the entry adjacent to the latest is usually the *other* row, and
-# diffing disjoint sets would silently compare nothing — each series must
-# find its own predecessor.
+# because the file interleaves series (bench.sh runs with different
+# patterns, and the LoadMixed/LoadCluster history rows): the entry adjacent
+# to the latest may belong to another series, and diffing disjoint sets
+# would silently compare nothing — each series must find its own
+# predecessor.
 names_of() { printf '%s\n' "$1" | grep -o '"name":"[^"]*"' | sort -u; }
 latest_names="$(names_of "$latest")"
 prev=""
